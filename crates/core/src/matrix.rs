@@ -1,13 +1,18 @@
-//! [`BubbleDistanceMatrix`]: the symmetric k×k bubble-distance matrix,
-//! computed once (in parallel row blocks) and served as sorted rows.
+//! [`BubbleDistanceMatrix`]: the k×k bubble-distance matrix, computed
+//! once (in parallel row blocks) and served as sorted rows.
 //!
-//! The OPTICS walk over bubbles asks for the ε-neighbourhood of every
-//! bubble at least once, and sub-MinPts expansion may ask for unbounded
-//! neighbourhoods again — each query an exhaustive O(k) scan plus an
-//! O(k log k) sort. [`crate::bubble_distance`] is exactly symmetric in IEEE
-//! floats ((x−y)² == (y−x)², commutative additions, `max`), so the whole
-//! matrix can be evaluated once up front; every later query is then a
-//! binary search for the ε prefix of a pre-sorted row.
+//! The clustering pipeline does not build it: OPTICS over a
+//! [`crate::BubbleSpace`] takes the dense walk, which evaluates each pair
+//! once in O(k) memory. The matrix remains for callers that want
+//! neighbourhood queries served from memory — [`BubbleSpace::neighborhood`]
+//! and [`BubbleSpace::core_distance_unbounded`] use it when present — at
+//! 12 bytes per entry and an O(k² log k) build.
+//!
+//! Row `i` holds Definition 6 evaluated with bubble `i` first, the
+//! orientation every bubble-distance caller uses: the combine step is not
+//! exactly symmetric in IEEE arithmetic (see
+//! [`crate::bubble_distance_from_parts`]), so entry `(i, j)` and entry
+//! `(j, i)` may differ in the last bit.
 //!
 //! # Determinism contract
 //!
@@ -18,24 +23,26 @@
 //! matrix-served neighbourhood is bit-for-bit identical to the on-the-fly
 //! scan in [`crate::BubbleSpace`] (same distances, same comparator, and
 //! the ε filter `d <= eps` selects exactly the sorted row's prefix).
+//!
+//! [`BubbleSpace::neighborhood`]: db_optics::OpticsSpace::neighborhood
+//! [`BubbleSpace::core_distance_unbounded`]: crate::BubbleSpace::core_distance_unbounded
 
 use std::num::NonZeroUsize;
 
 use db_spatial::{id_u32, Neighbor};
-use db_supervise::{catch_shared, fault, first_stop, panic_message, Stop, Supervisor};
 
 use crate::bubble::DataBubble;
-use crate::distance::bubble_distance_from_parts;
+use crate::distance::BubbleParts;
 
-/// Default cap on the number of bubbles for which the matrix is
-/// precomputed. A row costs 12 bytes per entry (`u32` id + `f64`
-/// distance), so the cap bounds the matrix at ~3 GiB; the paper's
-/// operating point is k ≤ a few thousand (§8: "the purpose of our
-/// approach is to make k very small"), far below it. Above the cap the
-/// space falls back to on-the-fly evaluation with identical results.
+/// Default cap on the number of bubbles for which
+/// [`crate::BubbleSpace::precompute_matrix`] builds the matrix. A row
+/// costs 12 bytes per entry (`u32` id + `f64` distance), so the cap bounds
+/// the matrix at ~3 GiB. The pipeline builds no matrix; the constant
+/// remains the default of the `matrix_max_k` fields, which are kept for
+/// source compatibility.
 pub const DEFAULT_MAX_MATRIX_K: usize = 16_384;
 
-/// A precomputed symmetric bubble-distance matrix with each row sorted
+/// A precomputed bubble-distance matrix with each row sorted
 /// ascending by `(distance, id)` — the neighbourhood order of
 /// [`crate::BubbleSpace`].
 #[derive(Debug, Clone)]
@@ -50,39 +57,13 @@ pub struct BubbleDistanceMatrix {
 impl BubbleDistanceMatrix {
     /// Builds the matrix over `bubbles` with `threads` workers (`None` =
     /// available parallelism). The k² distance evaluations are counted
-    /// under `optics.distance_calls`, exactly as the on-the-fly scans they
-    /// replace would have been.
+    /// under `optics.distance_calls`.
     ///
     /// # Panics
     ///
     /// Panics if `bubbles` is empty or `k * k` entries would overflow
     /// `usize`.
     pub fn build(bubbles: &[DataBubble], threads: Option<NonZeroUsize>) -> Self {
-        match Self::build_supervised(bubbles, threads, &Supervisor::unlimited()) {
-            Ok(m) => m,
-            Err(stop) => panic!("unsupervised matrix build stopped: {stop}"),
-        }
-    }
-
-    /// [`BubbleDistanceMatrix::build`] under supervision: the supervisor is
-    /// consulted before every row (a row is O(k log k), so the reaction
-    /// latency stays tiny against the 50ms target) and worker panics are
-    /// captured. On `Err` the whole matrix is discarded; on `Ok` the
-    /// result is bit-for-bit the unsupervised one.
-    ///
-    /// # Errors
-    ///
-    /// [`Stop`] when cancelled, past the deadline, or a worker panicked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bubbles` is empty or `k * k` entries would overflow
-    /// `usize`.
-    pub fn build_supervised(
-        bubbles: &[DataBubble],
-        threads: Option<NonZeroUsize>,
-        sup: &Supervisor,
-    ) -> Result<Self, Stop> {
         let k = bubbles.len();
         assert!(k > 0, "cannot build a distance matrix over zero bubbles");
         let cells = k.checked_mul(k).expect("k * k overflows usize");
@@ -90,123 +71,53 @@ impl BubbleDistanceMatrix {
         let threads = resolve_threads(threads, k);
         db_obs::gauge!("optics.matrix_threads").set(threads as i64);
 
-        // Hoist the per-bubble parts of Definition 6 out of the O(k²)
-        // loop: a flat row-major block of representatives for the batched
-        // center-distance kernel, plus extents and expected 1-NN
-        // distances. Pure per-bubble functions, so hoisting is bit-neutral.
-        let dim = bubbles[0].dim();
-        let mut reps_flat = Vec::with_capacity(k * dim);
-        let mut extents = Vec::with_capacity(k);
-        let mut nn1 = Vec::with_capacity(k);
-        for b in bubbles {
-            assert_eq!(b.dim(), dim, "dimensionality mismatch");
-            reps_flat.extend_from_slice(b.rep());
-            extents.push(b.extent());
-            nn1.push(b.nndist(1));
-        }
-        let reps_flat = &reps_flat;
-        let (extents, nn1) = (&extents, &nn1);
-
+        let parts = BubbleParts::new(bubbles);
         let mut ids = vec![0u32; cells];
         let mut dists = vec![0f64; cells];
-        // `scratch` holds one row of squared center distances; each worker
-        // brings its own so rows stay independent.
-        let fill_row = |i: usize,
-                        id_row: &mut [u32],
-                        dist_row: &mut [f64],
-                        scratch: &mut Vec<f64>| {
-            scratch.resize(k, 0.0);
-            db_spatial::dists_to_block(&reps_flat[i * dim..(i + 1) * dim], reps_flat, dim, scratch);
-            let (e_i, n_i) = (extents[i], nn1[i]);
-            let mut row: Vec<(f64, u32)> = scratch
-                .iter()
-                .enumerate()
-                // Lossless: `j < k` and the compressors cap k at the
-                // dataset length, which `Dataset` bounds by `u32` ids.
-                .map(|(j, &d2)| {
-                    let d = if i == j {
-                        0.0
-                    } else {
-                        // `d2.sqrt()` is bit-identical to the scalar path's
-                        // `euclidean(rep_i, rep_j)` (shared kernel).
-                        // db-audit: allow(no-naked-sqrt) -- flush site: Def. 10 bubble
-                        // distance is defined in true space; one conversion per matrix
-                        // entry, counted by the kernel's sqrt accounting.
-                        bubble_distance_from_parts(d2.sqrt(), e_i, extents[j], n_i, nn1[j])
-                    };
-                    (d, id_u32(j))
-                })
-                .collect();
-            // Same comparator as the on-the-fly neighbourhood sort.
-            row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (slot, (d, j)) in id_row.iter_mut().zip(dist_row.iter_mut()).zip(row) {
-                *slot.0 = j;
-                *slot.1 = d;
+        // Fills the block of rows starting at row `first`; each block
+        // brings its own scratch so rows stay independent.
+        let fill_rows = |first: usize, id_block: &mut [u32], dist_block: &mut [f64]| {
+            let mut row: Vec<(f64, u32)> = Vec::with_capacity(k);
+            for (r, (id_row, dist_row)) in
+                id_block.chunks_mut(k).zip(dist_block.chunks_mut(k)).enumerate()
+            {
+                parts.row_from(&parts, first + r, Some(first + r), dist_row);
+                row.clear();
+                // Lossless: `j < k` and the compressors cap k at the dataset
+                // length, which `Dataset` bounds by `u32` ids.
+                row.extend(dist_row.iter().enumerate().map(|(j, &d)| (d, id_u32(j))));
+                // Same comparator as the on-the-fly neighbourhood sort.
+                row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                for ((id, d), &(rd, rj)) in id_row.iter_mut().zip(dist_row.iter_mut()).zip(&row) {
+                    *id = rj;
+                    *d = rd;
+                }
             }
         };
 
         if threads <= 1 {
-            let mut scratch = Vec::new();
-            for i in 0..k {
-                sup.check()?;
-                fill_row(
-                    i,
-                    &mut ids[i * k..(i + 1) * k],
-                    &mut dists[i * k..(i + 1) * k],
-                    &mut scratch,
-                );
-            }
+            fill_rows(0, &mut ids, &mut dists);
         } else {
             // Contiguous row blocks per thread; rows are independent, so
             // the result cannot depend on this schedule. Worker time is
-            // linked back into the build span (child-time, same trace run),
-            // and each body runs under panic capture so one bad block
-            // surfaces as `Stop::Panicked` instead of unwinding the scope.
+            // linked back into the build span (child-time, same trace run).
             let parent = span.handle();
             let rows_per_thread = k.div_ceil(threads);
-            let fill_row = &fill_row;
-            let mut results: Vec<Result<(), Stop>> = Vec::with_capacity(threads);
+            let (parent, fill_rows) = (&parent, &fill_rows);
             std::thread::scope(|scope| {
-                let id_blocks = ids.chunks_mut(rows_per_thread * k);
-                let dist_blocks = dists.chunks_mut(rows_per_thread * k);
-                let handles: Vec<_> = id_blocks
-                    .zip(dist_blocks)
-                    .enumerate()
-                    .map(|(t, (id_block, dist_block))| {
-                        let parent = &parent;
-                        scope.spawn(move || {
-                            catch_shared(|| {
-                                let _s = db_obs::span_linked!("optics.matrix_fill", parent);
-                                fault::inject("matrix.worker", sup.token());
-                                let first = t * rows_per_thread;
-                                let rows = id_block.len() / k;
-                                let mut scratch = Vec::new();
-                                for r in 0..rows {
-                                    sup.check()?;
-                                    fill_row(
-                                        first + r,
-                                        &mut id_block[r * k..(r + 1) * k],
-                                        &mut dist_block[r * k..(r + 1) * k],
-                                        &mut scratch,
-                                    );
-                                }
-                                Ok(())
-                            })
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    results.push(handle.join().unwrap_or_else(|payload| {
-                        Err(Stop::Panicked { message: panic_message(payload.as_ref()) })
-                    }));
+                let blocks =
+                    ids.chunks_mut(rows_per_thread * k).zip(dists.chunks_mut(rows_per_thread * k));
+                for (t, (id_block, dist_block)) in blocks.enumerate() {
+                    scope.spawn(move || {
+                        let _s = db_obs::span_linked!("optics.matrix_fill", parent);
+                        fill_rows(t * rows_per_thread, id_block, dist_block);
+                    });
                 }
             });
-            first_stop(results)?;
         }
-        // One evaluation per (row, column) pair — the same count the
-        // replaced exhaustive scans would have reported.
+        // One evaluation per (row, column) pair.
         db_obs::counter!("optics.distance_calls").add(cells as u64);
-        Ok(Self { k, ids, dists })
+        Self { k, ids, dists }
     }
 
     /// Number of bubbles (the matrix is `k × k`).
@@ -240,7 +151,7 @@ impl BubbleDistanceMatrix {
 
 /// Resolves a thread-count knob: `None` means available parallelism,
 /// clamped to `[1, work_items]`.
-pub(crate) fn resolve_threads(threads: Option<NonZeroUsize>, work_items: usize) -> usize {
+fn resolve_threads(threads: Option<NonZeroUsize>, work_items: usize) -> usize {
     threads
         .or_else(|| std::thread::available_parallelism().ok())
         .map_or(1, NonZeroUsize::get)
@@ -294,17 +205,15 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_symmetric() {
+    fn rows_hold_definition_6_with_the_row_bubble_first() {
         let bs = bubbles(15);
         let m = BubbleDistanceMatrix::build(&bs, None);
-        let lookup = |i: usize, j: usize| {
-            let (ids, dists) = m.row(i);
-            let pos = ids.iter().position(|&id| id as usize == j).unwrap();
-            dists[pos]
-        };
         for i in 0..15 {
-            for j in 0..15 {
-                assert_eq!(lookup(i, j).to_bits(), lookup(j, i).to_bits(), "({i}, {j})");
+            let (ids, dists) = m.row(i);
+            for (&j, &d) in ids.iter().zip(dists) {
+                let j = j as usize;
+                let want = crate::bubble_distance(&bs[i], &bs[j], i == j);
+                assert_eq!(d.to_bits(), want.to_bits(), "({i}, {j})");
             }
         }
     }

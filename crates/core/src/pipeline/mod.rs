@@ -95,22 +95,23 @@ pub struct PipelineConfig {
     /// OPTICS parameters used on the representatives. `min_pts` counts
     /// *original* objects for the bubble variants (Def. 7).
     pub optics: OpticsParams,
-    /// Worker threads for the parallel hot paths (classification,
-    /// statistics accumulation, distance-matrix build). `None` = available
-    /// parallelism. Every output is bit-for-bit identical for every
-    /// setting, including `Some(1)`.
+    /// Worker threads for the parallel hot paths of compression
+    /// (classification, statistics accumulation). `None` = available
+    /// parallelism. Clustering is single-threaded and does not read it.
+    /// Every output is bit-for-bit identical for every setting, including
+    /// `Some(1)`.
     pub threads: Option<NonZeroUsize>,
-    /// Largest bubble count for which the clustering phase precomputes the
-    /// bubble-distance matrix ([`DEFAULT_MAX_MATRIX_K`] by default; `0`
-    /// disables the matrix). Above the cap the space evaluates distances
-    /// on the fly with identical results.
+    /// Unused by the pipeline, which builds no bubble-distance matrix: the
+    /// clustering phase takes the dense OPTICS walk over the bubbles, in
+    /// O(k) memory. Kept ([`DEFAULT_MAX_MATRIX_K`] by default) for source
+    /// compatibility with callers that pass it to
+    /// [`BubbleSpace::precompute_matrix`](crate::BubbleSpace::precompute_matrix).
     pub matrix_max_k: usize,
     /// Resource envelope of the run: an optional wall-clock deadline
-    /// (typed [`PipelineError::DeadlineExceeded`] when overrun) and an
-    /// optional byte cap on the precomputed distance matrix (skipping the
-    /// matrix, with bit-identical results). Unlimited by default — with
-    /// nothing armed, supervision costs one amortized atomic load per
-    /// check tick and the output is bit-for-bit the pre-supervision one.
+    /// (typed [`PipelineError::DeadlineExceeded`] when overrun). Unlimited
+    /// by default — with nothing armed, supervision costs one amortized
+    /// atomic load per check tick and the output is bit-for-bit the
+    /// pre-supervision one.
     pub budget: RunBudget,
     /// Shared cancellation token: cancel it from any thread and the run
     /// stops at the next cooperative check with
@@ -120,7 +121,7 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// A configuration with the default execution knobs: available
-    /// parallelism, the default matrix cap, and no budget.
+    /// parallelism and no budget.
     pub fn new(k: usize, compressor: Compressor, recovery: Recovery, optics: OpticsParams) -> Self {
         Self {
             k,
@@ -158,7 +159,7 @@ impl PipelineTimings {
 pub enum PipelinePhase {
     /// Step 1: sampling/BIRCH/BFR/squash + classification + statistics.
     Compression,
-    /// Step 2: matrix build + OPTICS on the representatives.
+    /// Step 2: OPTICS on the representatives.
     Clustering,
     /// Step 3: expansion back to the original objects.
     Recovery,
@@ -474,9 +475,9 @@ struct ClusterRecover {
 
 /// Steps 2–3 shared by [`run_pipeline`] and
 /// [`recluster_from_compression`]: OPTICS over the representatives (as
-/// points or Data Bubbles, with the supervised matrix precompute) followed
-/// by the configured recovery expansion. `assignment` maps every original
-/// object to its representative and is required for non-naive recoveries.
+/// points or Data Bubbles) followed by the configured recovery expansion.
+/// `assignment` maps every original object to its representative and is
+/// required for non-naive recoveries.
 fn cluster_and_recover(
     reps: &Dataset,
     stats: &[Cf],
@@ -498,19 +499,8 @@ fn cluster_and_recover(
         Recovery::Bubbles => {
             let bubbles: Vec<DataBubble> =
                 stats.iter().map(DataBubble::try_from_cf).collect::<Result<_, _>>()?;
-            let mut space = BubbleSpace::try_new(bubbles)?;
-            // All k² distances once, in parallel rows, instead of O(k)
-            // scan-and-sorts per walk step; results are bit-identical.
-            // Skipped (still bit-identical) when the budget's matrix byte
-            // cap would be exceeded.
-            space
-                .precompute_matrix_supervised(
-                    cfg.threads,
-                    cfg.matrix_max_k,
-                    cfg.budget.max_matrix_bytes,
-                    sup,
-                )
-                .map_err(clustering_stop)?;
+            let space = BubbleSpace::try_new(bubbles)?;
+            // The dense walk: each pair distance once, O(k) memory.
             let ordering = optics_supervised(&space, &cfg.optics, sup).map_err(clustering_stop)?;
             (ordering, Some(space))
         }
@@ -618,17 +608,18 @@ pub fn recluster_from_compression(
 
 /// [`recluster_from_compression`] with the degradation ladder of
 /// [`run_pipeline_supervised`], minus the halve-`k` rung (the compression
-/// fixes `k`): on [`PipelineError::DeadlineExceeded`] the retry first
-/// disables the precomputed distance matrix, then drops to a single
-/// thread, each attempt under a fresh deadline. Cancellations and worker
-/// panics are never retried. The outcome is reported to
-/// [`db_obs::health`] exactly as for supervised pipeline runs — except
-/// for cancellations, which are a caller decision, not a service failure.
+/// fixes `k`): on [`PipelineError::DeadlineExceeded`] the retry drops to a
+/// single thread under a fresh deadline. A recluster has no threaded
+/// phase, so that rung is in effect one retry under a fresh deadline.
+/// Cancellations and worker panics are never retried. The outcome is
+/// reported to [`db_obs::health`] exactly as for supervised pipeline runs
+/// — except for cancellations, which are a caller decision, not a service
+/// failure.
 ///
 /// # Errors
 ///
 /// As [`recluster_from_compression`];
-/// [`PipelineError::DeadlineExceeded`] only after both rungs failed.
+/// [`PipelineError::DeadlineExceeded`] only after the retry failed too.
 pub fn recluster_supervised(
     inc: &IncrementalCompression,
     cfg: &PipelineConfig,
@@ -654,17 +645,9 @@ pub fn recluster_supervised(
                 }
                 return Ok(out);
             }
-            Err(cause @ PipelineError::DeadlineExceeded { .. }) if degradations.len() < 2 => {
-                let action = match degradations.len() {
-                    0 => {
-                        attempt.matrix_max_k = 0;
-                        "disabled the distance matrix".to_string()
-                    }
-                    _ => {
-                        attempt.threads = NonZeroUsize::new(1);
-                        "dropped to a single thread".to_string()
-                    }
-                };
+            Err(cause @ PipelineError::DeadlineExceeded { .. }) if degradations.is_empty() => {
+                attempt.threads = NonZeroUsize::new(1);
+                let action = "dropped to a single thread".to_string();
                 db_obs::counter!("pipeline.degradations").incr();
                 db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
                 db_obs::log_warn!("recluster over budget ({cause}); retrying coarser: {action}");
@@ -685,9 +668,8 @@ pub fn recluster_supervised(
 }
 
 /// Maximum number of degradation-ladder retries of
-/// [`run_pipeline_supervised`] (halve `k`; disable the distance matrix;
-/// drop to a single thread).
-const MAX_DEGRADATIONS: usize = 3;
+/// [`run_pipeline_supervised`] (halve `k`; drop to a single thread).
+const MAX_DEGRADATIONS: usize = 2;
 
 /// Runs a pipeline under its budget with BIRCH-style graceful degradation:
 /// when an attempt overruns [`RunBudget::deadline`], it is retried with a
@@ -696,9 +678,7 @@ const MAX_DEGRADATIONS: usize = 3;
 ///
 /// 1. halve `k` (fewer representatives: quadratic savings in the
 ///    clustering phase, linear in classification);
-/// 2. disable the precomputed distance matrix (`matrix_max_k = 0`:
-///    bounded memory, on-the-fly distances);
-/// 3. drop to a single worker thread (no spawn overhead on tiny budgets).
+/// 2. drop to a single worker thread (no spawn overhead on tiny budgets).
 ///
 /// Each attempt gets a fresh deadline of the same duration. Rungs taken
 /// are recorded in [`PipelineOutput::degradations`], counted under
@@ -744,10 +724,6 @@ pub fn run_pipeline_supervised(
                     0 => {
                         attempt.k = (attempt.k / 2).max(1);
                         format!("halved k to {}", attempt.k)
-                    }
-                    1 => {
-                        attempt.matrix_max_k = 0;
-                        "disabled the distance matrix".to_string()
                     }
                     _ => {
                         attempt.threads = NonZeroUsize::new(1);

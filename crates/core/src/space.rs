@@ -3,31 +3,33 @@
 
 use std::num::NonZeroUsize;
 
-use db_optics::OpticsSpace;
+use db_optics::{DenseRows, OpticsSpace};
 use db_spatial::Neighbor;
-use db_supervise::{Stop, Supervisor};
 
 use crate::bubble::{BubbleError, DataBubble};
-use crate::distance::bubble_distance;
+use crate::distance::{bubble_distance, BubbleParts};
 use crate::matrix::BubbleDistanceMatrix;
 
 /// A set of Data Bubbles viewed as an OPTICS object space.
 ///
-/// Neighbourhood queries are exhaustive O(k): "Because of the rather
-/// complex distance measure between Data Bubbles, we cannot use an index…
-/// it runs in O(k·k). However, the purpose of our approach is to make k
-/// very small so that this is acceptable" (paper §8). Since the walk
-/// visits every bubble, the k² evaluations can equivalently be done once
-/// up front: [`BubbleSpace::precompute_matrix`] builds a
-/// [`BubbleDistanceMatrix`] (optionally in parallel) and every subsequent
-/// neighbourhood query becomes a binary search over a pre-sorted row —
-/// with bit-for-bit identical results.
+/// Clustering is exhaustive: "Because of the rather complex distance
+/// measure between Data Bubbles, we cannot use an index… it runs in
+/// O(k·k). However, the purpose of our approach is to make k very small
+/// so that this is acceptable" (paper §8). The space opts into the dense
+/// OPTICS walk ([`OpticsSpace::dense_rows`]), which evaluates each of the
+/// k(k−1)/2 pairs once, in O(k) memory. Neighbourhood queries
+/// ([`OpticsSpace::neighborhood`]) remain for other callers: an O(k) scan
+/// and sort, or a binary search over a sorted row once
+/// [`BubbleSpace::precompute_matrix`] has built a
+/// [`BubbleDistanceMatrix`] — with bit-for-bit identical results.
 #[derive(Debug, Clone)]
 pub struct BubbleSpace {
     bubbles: Vec<DataBubble>,
     /// Total point count over all bubbles, cached so unbounded
     /// core-distance queries need no neighbourhood scan in the common case.
     total_n: u64,
+    /// The Def. 6 parts of every bubble, in id order, for batched rows.
+    parts: BubbleParts,
     matrix: Option<BubbleDistanceMatrix>,
 }
 
@@ -47,7 +49,8 @@ impl BubbleSpace {
             }
         }
         let total_n = bubbles.iter().map(DataBubble::n).sum();
-        Ok(Self { bubbles, total_n, matrix: None })
+        let parts = BubbleParts::new(&bubbles);
+        Ok(Self { bubbles, total_n, parts, matrix: None })
     }
 
     /// Creates the space. **Validated input only** — use
@@ -82,52 +85,16 @@ impl BubbleSpace {
     /// (`None` = available parallelism) so neighbourhood and unbounded
     /// core-distance queries are served from sorted rows. Skipped (returns
     /// `false`) when the space is empty or holds more than `max_k` bubbles
-    /// — the on-the-fly path stays in place with identical results.
+    /// — the on-the-fly path stays in place with identical results. The
+    /// OPTICS walk over the space does not use the matrix.
     pub fn precompute_matrix(&mut self, threads: Option<NonZeroUsize>, max_k: usize) -> bool {
-        match self.precompute_matrix_supervised(threads, max_k, None, &Supervisor::unlimited()) {
-            Ok(built) => built,
-            Err(stop) => panic!("unsupervised matrix precompute stopped: {stop}"),
-        }
-    }
-
-    /// [`BubbleSpace::precompute_matrix`] under supervision and an
-    /// optional memory budget. When `max_bytes` is set and the matrix
-    /// would exceed it, the build is skipped (returns `Ok(false)`, counted
-    /// under `pipeline.matrix_skipped_budget`) and the on-the-fly path
-    /// stays in place — a quality-preserving degradation: results are
-    /// bit-identical, only the query cost changes.
-    ///
-    /// # Errors
-    ///
-    /// [`Stop`] when the build was cancelled, overran the deadline, or a
-    /// row worker panicked. The space is left matrix-free in that case.
-    pub fn precompute_matrix_supervised(
-        &mut self,
-        threads: Option<NonZeroUsize>,
-        max_k: usize,
-        max_bytes: Option<usize>,
-        sup: &Supervisor,
-    ) -> Result<bool, Stop> {
         if self.bubbles.is_empty() || self.bubbles.len() > max_k {
-            return Ok(false);
+            return false;
         }
-        if let Some(cap) = max_bytes {
-            // 12 bytes per cell: u32 id + f64 distance (see
-            // `BubbleDistanceMatrix::memory_bytes`).
-            let projected = self.bubbles.len() * self.bubbles.len() * 12;
-            if projected > cap {
-                db_obs::counter!("pipeline.matrix_skipped_budget").incr();
-                db_obs::log_debug!(
-                    "matrix skipped: projected {projected} bytes > budget {cap} bytes \
-                     (falling back to on-the-fly distances, results unchanged)"
-                );
-                return Ok(false);
-            }
-        }
-        let m = BubbleDistanceMatrix::build_supervised(&self.bubbles, threads, sup)?;
+        let m = BubbleDistanceMatrix::build(&self.bubbles, threads);
         db_obs::gauge!("optics.matrix_bytes").set(m.memory_bytes() as i64);
         self.matrix = Some(m);
-        Ok(true)
+        true
     }
 
     /// Whether neighbourhood queries are matrix-backed.
@@ -142,14 +109,36 @@ impl BubbleSpace {
     /// Unlike the in-walk [`OpticsSpace::core_distance`], this needs no
     /// neighbourhood scan in the common cases: the cached total weight
     /// answers the `None` case, and a bubble holding ≥ MinPts points
-    /// answers from its own `nndist`. Only a sub-MinPts bubble needs the
-    /// sorted distance row — served from the precomputed matrix when
-    /// present, otherwise evaluated on the fly under the
+    /// answers from its own `nndist`. Only a sub-MinPts bubble needs its
+    /// distance row — served from the precomputed matrix when present,
+    /// otherwise evaluated on the fly under the
     /// `optics.unbounded_core_distance_calls` counter (its own metric:
     /// these are recovery-phase evaluations, not part of the walk's
     /// `optics.distance_calls`).
     pub fn core_distance_unbounded(&self, i: usize, min_pts: usize) -> Option<f64> {
         db_obs::counter!("optics.unbounded_core_calls").incr();
+        self.core_distance_cached(i, min_pts, || {
+            if let Some(m) = &self.matrix {
+                let (ids, dists) = m.row(i);
+                let row = ids.iter().zip(dists).map(|(&id, &d)| (d, id as usize));
+                return self.accumulate_nearest(row, min_pts);
+            }
+            db_obs::counter!("optics.unbounded_core_distance_calls").add(self.bubbles.len() as u64);
+            self.row_core_distance(i, min_pts, f64::INFINITY, &mut Vec::new())
+        })
+    }
+
+    /// Definition 7 for bubble `i` from cached state where it suffices, at
+    /// any ε: `None` when the whole space holds fewer than MinPts points
+    /// (no ε-neighbourhood holds more), and `nndist(MinPts, B)` when the
+    /// bubble itself holds ≥ MinPts points (it lies in its own
+    /// neighbourhood at distance 0). Otherwise `rare` answers.
+    fn core_distance_cached(
+        &self,
+        i: usize,
+        min_pts: usize,
+        rare: impl FnOnce() -> Option<f64>,
+    ) -> Option<f64> {
         let min_pts = min_pts as u64;
         if self.total_n < min_pts {
             return None;
@@ -158,34 +147,84 @@ impl BubbleSpace {
         if b.n() >= min_pts {
             return Some(b.nndist(min_pts));
         }
-        // Sub-MinPts bubble: accumulate neighbours ascending by distance
-        // until MinPts points are covered (Def. 7's rare case with ε = ∞).
-        let accumulate = |pairs: &mut dyn Iterator<Item = (usize, f64)>| -> Option<f64> {
-            let mut cumulative = 0u64;
-            for (id, dist) in pairs {
-                let c = &self.bubbles[id];
-                if cumulative + c.n() >= min_pts {
-                    let k = min_pts - cumulative;
-                    return Some(dist + c.nndist(k));
-                }
-                cumulative += c.n();
-            }
-            unreachable!("total_n >= min_pts guarantees the loop terminates");
-        };
-        if let Some(m) = &self.matrix {
-            let (ids, dists) = m.row(i);
-            return accumulate(&mut ids.iter().zip(dists).map(|(&id, &d)| (id as usize, d)));
+        rare()
+    }
+
+    /// Definition 7's rare case for bubble `i` at generating distance
+    /// `eps`, from its full distance row (evaluated into `row`). Every
+    /// bubble holds at least one point, so the MinPts nearest entries of
+    /// the ε-neighbourhood always cover MinPts points when any prefix
+    /// does: only they are selected and sorted.
+    fn row_core_distance(
+        &self,
+        i: usize,
+        min_pts: usize,
+        eps: f64,
+        row: &mut Vec<f64>,
+    ) -> Option<f64> {
+        row.resize(self.bubbles.len(), 0.0);
+        self.parts.row_from(&self.parts, i, Some(i), row);
+        let mut near: Vec<(f64, usize)> =
+            row.iter().enumerate().filter(|(_, &d)| d <= eps).map(|(j, &d)| (d, j)).collect();
+        let by_dist_id =
+            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if min_pts < near.len() {
+            near.select_nth_unstable_by(min_pts - 1, by_dist_id);
+            near.truncate(min_pts);
         }
-        // Fallback: one exhaustive scan-and-sort for this bubble only.
-        db_obs::counter!("optics.unbounded_core_distance_calls").add(self.bubbles.len() as u64);
-        let mut row: Vec<(f64, usize)> = self
-            .bubbles
-            .iter()
-            .enumerate()
-            .map(|(j, c)| (bubble_distance(b, c, i == j), j))
-            .collect();
-        row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        accumulate(&mut row.into_iter().map(|(d, id)| (id, d)))
+        near.sort_unstable_by(by_dist_id);
+        self.accumulate_nearest(near.into_iter(), min_pts)
+    }
+
+    /// Definition 7's accumulation over neighbours ascending by
+    /// `(distance, id)`: the closest bubble `C` at which the cumulative
+    /// point count reaches MinPts gives `dist(B, C) + nndist(k, C)`, with
+    /// `k = MinPts −` (points of all bubbles before `C`). `None` when the
+    /// neighbours hold fewer than MinPts points.
+    fn accumulate_nearest(
+        &self,
+        nearest: impl Iterator<Item = (f64, usize)>,
+        min_pts: usize,
+    ) -> Option<f64> {
+        let min_pts = min_pts as u64;
+        let mut cumulative = 0u64;
+        for (dist, id) in nearest {
+            let c = &self.bubbles[id];
+            if cumulative + c.n() >= min_pts {
+                return Some(dist + c.nndist(min_pts - cumulative));
+            }
+            cumulative += c.n();
+        }
+        None
+    }
+}
+
+/// The dense walk's view of a [`BubbleSpace`]: the unprocessed bubbles'
+/// Def. 6 parts, compacted so the block kernel runs over contiguous
+/// representatives.
+struct BubbleRows<'a> {
+    space: &'a BubbleSpace,
+    unprocessed: BubbleParts,
+    /// Scratch for the full rows of sub-MinPts bubbles.
+    row: Vec<f64>,
+}
+
+impl DenseRows for BubbleRows<'_> {
+    fn swap_remove(&mut self, pos: usize) {
+        self.unprocessed.swap_remove(pos);
+    }
+
+    fn row(&mut self, i: usize, out: &mut [f64]) {
+        self.unprocessed.row_from(&self.space.parts, i, None, out);
+    }
+
+    fn core_distance(&mut self, i: usize, min_pts: usize, eps: f64) -> Option<f64> {
+        let Self { space, row, .. } = self;
+        space.core_distance_cached(i, min_pts, || {
+            // A sub-MinPts bubble: its full row, part of the walk's work.
+            db_obs::counter!("optics.distance_calls").add(space.bubbles.len() as u64);
+            space.row_core_distance(i, min_pts, eps, row)
+        })
     }
 }
 
@@ -228,27 +267,17 @@ impl OpticsSpace for BubbleSpace {
     ///   bubble at which the cumulative point count reaches MinPts and
     ///   `k = MinPts −` (points of all bubbles strictly closer than `C`).
     fn core_distance(&self, i: usize, min_pts: usize, neighborhood: &[Neighbor]) -> Option<f64> {
-        let min_pts = min_pts as u64;
-        let total: u64 = neighborhood.iter().map(|nb| self.bubbles[nb.id].n()).sum();
-        if total < min_pts {
-            return None;
-        }
         let b = &self.bubbles[i];
-        if b.n() >= min_pts {
-            return Some(b.nndist(min_pts));
+        if b.n() >= min_pts as u64 {
+            return Some(b.nndist(min_pts as u64));
         }
-        // Rare case: accumulate neighbours (the bubble itself is the first
-        // entry at distance 0) until MinPts points are covered.
-        let mut cumulative = 0u64;
-        for nb in neighborhood {
-            let c = &self.bubbles[nb.id];
-            if cumulative + c.n() >= min_pts {
-                let k = min_pts - cumulative;
-                return Some(nb.dist + c.nndist(k));
-            }
-            cumulative += c.n();
-        }
-        unreachable!("total >= min_pts guarantees the loop terminates");
+        // Rare case (the bubble itself is the first entry, at distance 0);
+        // `None` when the whole neighbourhood holds fewer than MinPts.
+        self.accumulate_nearest(neighborhood.iter().map(|nb| (nb.dist, nb.id)), min_pts)
+    }
+
+    fn dense_rows(&self) -> Option<Box<dyn DenseRows + '_>> {
+        Some(Box::new(BubbleRows { space: self, unprocessed: self.parts.clone(), row: Vec::new() }))
     }
 }
 

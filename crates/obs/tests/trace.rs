@@ -5,11 +5,12 @@
 //!
 //! These tests share one process, so each records under its own
 //! [`RunId`] and asserts only on events carrying that id; recording is
-//! globally enabled and never turned back off.
+//! globally enabled and never turned back off. `clear()` hides every
+//! thread's events, so the tests also run one at a time.
 #![cfg(feature = "tracing")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 
 use db_obs::trace::{self, RunId};
 use db_obs::{trace_json, Json, TraceEvent, TraceEventKind};
@@ -19,12 +20,16 @@ use db_obs::{trace_json, Json, TraceEvent, TraceEventKind};
 /// test calls first.
 const CAP: usize = 64;
 
-fn setup() {
+/// Initializes tracing once and serializes the test that holds the
+/// returned guard against its siblings.
+fn setup() -> MutexGuard<'static, ()> {
     static INIT: Once = Once::new();
+    static SERIAL: Mutex<()> = Mutex::new(());
     INIT.call_once(|| {
         std::env::set_var("DB_TRACE_CAP", CAP.to_string());
         trace::set_enabled(true);
     });
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn my_events(run: RunId) -> Vec<TraceEvent> {
@@ -33,7 +38,7 @@ fn my_events(run: RunId) -> Vec<TraceEvent> {
 
 #[test]
 fn ring_wraparound_keeps_newest_events() {
-    setup();
+    let _serial = setup();
     let run = RunId::next();
     let _g = run.enter();
     let name = trace::intern("wrap.probe");
@@ -53,7 +58,7 @@ fn ring_wraparound_keeps_newest_events() {
 
 #[test]
 fn concurrent_writers_never_yield_torn_events() {
-    setup();
+    let _serial = setup();
     let run = RunId::next();
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 5_000;
@@ -127,7 +132,7 @@ fn concurrent_writers_never_yield_torn_events() {
 
 #[test]
 fn clear_hides_old_events_only() {
-    setup();
+    let _serial = setup();
     let run = RunId::next();
     let _g = run.enter();
     let name = trace::intern("clear.probe");
@@ -143,7 +148,7 @@ fn clear_hides_old_events_only() {
 
 #[test]
 fn chrome_json_round_trips_through_parser() {
-    setup();
+    let _serial = setup();
     let run = RunId::next();
     let _g = run.enter();
     let span = trace::intern("roundtrip.span");

@@ -9,21 +9,20 @@ use db_spatial::{Dataset, Neighbor};
 use db_supervise::{Stop, Supervisor, Ticker};
 
 use crate::ordering::{ClusterOrdering, OrderingEntry, UNDEFINED};
-use crate::space::{OpticsParams, OpticsSpace, PointSpace};
+use crate::space::{DenseRows, OpticsParams, OpticsSpace, PointSpace};
 
-/// Cooperative-check cadence of the walk: every processed object costs a
-/// neighbourhood query (O(k) or a matrix-row lookup), so consulting the
+/// Cooperative-check cadence of the walk: every processed object costs an
+/// O(k) distance row or a neighbourhood query, so consulting the
 /// supervisor every 16 objects reacts well within the 50ms target.
 const WALK_TICK: u32 = 16;
-
-// Seed-list entries are (reachability, id) pairs under the shared total
-// order [`DistId`]; the heap is a min-heap over it, with lazy deletion
-// of stale entries.
 
 /// Runs OPTICS over any [`OpticsSpace`], producing the cluster ordering.
 ///
 /// Objects are visited in id order when a fresh walk start is needed, so
-/// the result is fully deterministic.
+/// the result is fully deterministic. A space that opts in through
+/// [`OpticsSpace::dense_rows`] takes the dense walk, the others the heap
+/// walk over neighbourhood queries; both yield the same ordering from the
+/// same distances.
 ///
 /// # Panics
 ///
@@ -55,12 +54,34 @@ pub fn optics_supervised<S: OpticsSpace>(
     assert!(params.eps >= 0.0, "eps must be non-negative");
     let _span = db_obs::span!("optics.walk");
     let mut ticker = Ticker::new(sup, WALK_TICK);
-    let n = space.len();
     let mut ordering = ClusterOrdering {
-        entries: Vec::with_capacity(n),
+        entries: Vec::with_capacity(space.len()),
         eps: params.eps,
         min_pts: params.min_pts,
     };
+    match space.dense_rows() {
+        Some(rows) => dense_walk(space, rows, params, &mut ticker, &mut ordering)?,
+        None => heap_walk(space, params, &mut ticker, &mut ordering)?,
+    }
+    db_obs::log_debug!(
+        "walk done: {} objects ordered (eps {:.3e}, MinPts {})",
+        ordering.entries.len(),
+        params.eps,
+        params.min_pts
+    );
+    Ok(ordering)
+}
+
+/// The heap walk: one neighbourhood query per processed object, and a
+/// seed list of `(reachability, id)` pairs under the shared total order
+/// [`DistId`] — a min-heap with lazy deletion of stale entries.
+fn heap_walk<S: OpticsSpace>(
+    space: &S,
+    params: &OpticsParams,
+    ticker: &mut Ticker<'_>,
+    ordering: &mut ClusterOrdering,
+) -> Result<(), Stop> {
+    let n = space.len();
     let mut processed = vec![false; n];
     // Best reachability seen so far per object; used both as decrease-key
     // state and to detect stale heap entries.
@@ -68,18 +89,16 @@ pub fn optics_supervised<S: OpticsSpace>(
     let mut heap: BinaryHeap<Reverse<DistId>> = BinaryHeap::new();
     let mut neighbors: Vec<Neighbor> = Vec::new();
 
-    let process = |i: usize,
-                   reachability: f64,
-                   processed: &mut Vec<bool>,
-                   reach: &mut Vec<f64>,
-                   heap: &mut BinaryHeap<Reverse<DistId>>,
-                   neighbors: &mut Vec<Neighbor>,
-                   ordering: &mut ClusterOrdering| {
+    let mut process = |i: usize,
+                       reachability: f64,
+                       processed: &mut Vec<bool>,
+                       reach: &mut Vec<f64>,
+                       heap: &mut BinaryHeap<Reverse<DistId>>| {
         processed[i] = true;
-        space.neighborhood(i, params.eps, neighbors);
+        space.neighborhood(i, params.eps, &mut neighbors);
         db_obs::counter!("optics.neighborhood_queries").incr();
         db_obs::histogram!("optics.neighborhood_size").record(neighbors.len() as f64);
-        let core = space.core_distance(i, params.min_pts, neighbors);
+        let core = space.core_distance(i, params.min_pts, &neighbors);
         db_obs::counter!("optics.core_distance_queries").incr();
         ordering.entries.push(OrderingEntry {
             id: i,
@@ -109,15 +128,7 @@ pub fn optics_supervised<S: OpticsSpace>(
         }
         ticker.tick()?;
         // A fresh walk start has undefined reachability.
-        process(
-            start,
-            UNDEFINED,
-            &mut processed,
-            &mut reach,
-            &mut heap,
-            &mut neighbors,
-            &mut ordering,
-        );
+        process(start, UNDEFINED, &mut processed, &mut reach, &mut heap);
         // Drain the seed list (lazy deletion of stale entries).
         while let Some(Reverse(DistId(r, id))) = heap.pop() {
             if processed[id] || r > reach[id] {
@@ -125,16 +136,85 @@ pub fn optics_supervised<S: OpticsSpace>(
                 continue;
             }
             ticker.tick()?;
-            process(id, r, &mut processed, &mut reach, &mut heap, &mut neighbors, &mut ordering);
+            process(id, r, &mut processed, &mut reach, &mut heap);
         }
     }
-    db_obs::log_debug!(
-        "walk done: {} objects ordered (eps {:.3e}, MinPts {})",
-        ordering.entries.len(),
-        params.eps,
-        params.min_pts
-    );
-    Ok(ordering)
+    Ok(())
+}
+
+/// The dense walk (see [`OpticsSpace::dense_rows`]): every pair distance
+/// evaluated once, O(n²) time and O(n) memory, no sort and no heap.
+///
+/// The unprocessed objects live in compacted arrays — ids, best
+/// reachability so far, and the space's [`DenseRows`] — that shrink by
+/// one swap-remove per processed object. One fused pass over them then
+/// lowers each reachability to `max(core, d)` and tracks the next object:
+/// the smallest `(reachability, id)` under [`DistId`] among objects with a
+/// defined reachability, else the lowest unprocessed id as a fresh walk
+/// start. Those are exactly the heap walk's choices (its heap holds the
+/// defined reachabilities; its `for start in 0..n` yields the lowest
+/// unprocessed id), so the ordering is bit-identical to it.
+fn dense_walk<S: OpticsSpace>(
+    space: &S,
+    mut rows: Box<dyn DenseRows + '_>,
+    params: &OpticsParams,
+    ticker: &mut Ticker<'_>,
+    ordering: &mut ClusterOrdering,
+) -> Result<(), Stop> {
+    let n = space.len();
+    let mut ids: Vec<usize> = (0..n).collect();
+    let mut reach = vec![UNDEFINED; n];
+    let mut dists: Vec<f64> = Vec::with_capacity(n);
+    // Position of the next object to process; id 0 starts the first walk.
+    let mut next = 0;
+    while !ids.is_empty() {
+        ticker.tick()?;
+        let i = ids.swap_remove(next);
+        let reachability = reach.swap_remove(next);
+        rows.swap_remove(next);
+        db_obs::counter!("optics.neighborhood_queries").incr();
+        let core = rows.core_distance(i, params.min_pts, params.eps);
+        db_obs::counter!("optics.core_distance_queries").incr();
+        ordering.entries.push(OrderingEntry {
+            id: i,
+            reachability,
+            core_distance: core.unwrap_or(UNDEFINED),
+            weight: space.weight(i),
+        });
+        // A non-core object updates nothing, so it needs no distances.
+        if core.is_some() {
+            dists.resize(ids.len(), 0.0);
+            rows.row(i, &mut dists);
+            db_obs::counter!("optics.distance_calls").add(dists.len() as u64);
+        }
+        let mut updates = 0u64;
+        let mut seed: Option<(DistId, usize)> = None;
+        let mut lowest = (usize::MAX, 0);
+        for (p, (&id, r)) in ids.iter().zip(reach.iter_mut()).enumerate() {
+            if let Some(core) = core {
+                let d = dists[p];
+                if d <= params.eps {
+                    let new_reach = core.max(d);
+                    if new_reach < *r {
+                        *r = new_reach;
+                        updates += 1;
+                    }
+                }
+            }
+            if *r < UNDEFINED {
+                let candidate = DistId(*r, id);
+                if seed.is_none_or(|(best, _)| candidate < best) {
+                    seed = Some((candidate, p));
+                }
+            }
+            if id < lowest.0 {
+                lowest = (id, p);
+            }
+        }
+        db_obs::counter!("optics.seed_updates").add(updates);
+        next = seed.map_or(lowest.1, |(_, p)| p);
+    }
+    Ok(())
 }
 
 /// Convenience wrapper: OPTICS over a plain dataset with an automatically

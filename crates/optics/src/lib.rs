@@ -53,6 +53,6 @@ pub use dbscan::{dbscan, dbscan_core};
 pub use ordering::{extract_dbscan, median_smooth, ClusterOrdering, OrderingEntry, UNDEFINED};
 pub use params::{k_distances, suggest_cut, suggest_eps};
 pub use persist::{read_ordering, write_ordering, PersistError};
-pub use space::{OpticsParams, OpticsSpace, PointSpace};
+pub use space::{DenseRows, OpticsParams, OpticsSpace, PointSpace};
 pub use tree::{ClusterNode, ClusterTree};
 pub use xi::{extract_xi, XiCluster};

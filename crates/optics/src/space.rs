@@ -48,6 +48,39 @@ pub trait OpticsSpace {
     /// produced by [`OpticsSpace::neighborhood`]). `None` encodes ∞
     /// (not a core object).
     fn core_distance(&self, i: usize, min_pts: usize, neighborhood: &[Neighbor]) -> Option<f64>;
+
+    /// Opts the space into the dense walk: instead of one neighbourhood
+    /// query per processed object, the walk evaluates each pair distance
+    /// once, from the processed object to every still-unprocessed one,
+    /// through the returned [`DenseRows`] cursor. The ordering is the one
+    /// the heap walk would produce from the same distances. `None` (the
+    /// default) keeps the heap walk over [`OpticsSpace::neighborhood`].
+    fn dense_rows(&self) -> Option<Box<dyn DenseRows + '_>> {
+        None
+    }
+}
+
+/// The still-unprocessed objects of a dense OPTICS walk, kept by the space
+/// in whatever compacted layout suits its distance kernel.
+///
+/// The set starts as every object in id order. The walk mirrors it with
+/// its own id and reachability arrays and removes objects from all of
+/// them with [`Vec::swap_remove`] semantics, so positions stay in step.
+pub trait DenseRows {
+    /// Removes the object at position `pos` of the set, moving the last
+    /// object into its place.
+    fn swap_remove(&mut self, pos: usize);
+
+    /// Writes the distance from object `i` (already removed from the set)
+    /// to every object of the set into `out`, one entry per position. The
+    /// distance must be the one `neighborhood(i, ..)` would report, with
+    /// `i` as the first argument.
+    fn row(&mut self, i: usize, out: &mut [f64]);
+
+    /// The core-distance of object `i` over the whole space at generating
+    /// distance `eps` (`None` encodes ∞), equal to
+    /// [`OpticsSpace::core_distance`] of its ε-neighbourhood.
+    fn core_distance(&mut self, i: usize, min_pts: usize, eps: f64) -> Option<f64>;
 }
 
 /// [`OpticsSpace`] over a plain [`Dataset`]: Definitions 2–3 of the Data

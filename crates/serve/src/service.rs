@@ -48,11 +48,13 @@ pub struct ServiceConfig {
     /// Resource envelope of every recluster (deadline ⇒ the degradation
     /// ladder of [`recluster_supervised`] kicks in).
     pub budget: RunBudget,
-    /// Worker threads for the recluster hot paths (`None` = available
-    /// parallelism; the output is thread-count invariant).
+    /// Worker threads handed to the recluster's [`PipelineConfig`]
+    /// (`None` = available parallelism; the output is thread-count
+    /// invariant). A recluster runs no compression, and clustering and
+    /// expansion are single-threaded, so it does not change the work.
     pub threads: Option<NonZeroUsize>,
-    /// Distance-matrix cap for the recluster (see
-    /// [`PipelineConfig::matrix_max_k`]).
+    /// Unused: a recluster builds no distance matrix (see
+    /// [`PipelineConfig::matrix_max_k`]). Kept for source compatibility.
     pub matrix_max_k: usize,
 }
 

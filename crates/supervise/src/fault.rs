@@ -10,8 +10,8 @@
 //!
 //! Pipeline code calls [`inject`] at its fault points: the phase
 //! boundaries (`compression`, `clustering`, `recovery`) on the run's own
-//! thread, and the worker entry points (`classify.worker`, `stats.worker`,
-//! `matrix.worker`) inside spawned worker threads, where an injected
+//! thread, and the worker entry points (`classify.worker`, `stats.worker`)
+//! inside spawned worker threads, where an injected
 //! panic exercises the panic-capture path. With `DB_FAULT` unset the hook
 //! is a read-lock acquisition on an empty spec — nanoseconds at phase
 //! granularity, and nothing at all inside item loops.
@@ -40,7 +40,7 @@ pub enum Action {
 /// One parsed fault: fires when [`inject`] is called with this phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
-    /// Fault-point name, e.g. `clustering` or `matrix.worker`.
+    /// Fault-point name, e.g. `clustering` or `classify.worker`.
     pub phase: String,
     /// What happens there.
     pub action: Action,

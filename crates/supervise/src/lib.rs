@@ -8,9 +8,7 @@
 //!
 //! * [`CancelToken`] — a shared atomic flag; cloning shares the flag.
 //! * [`RunBudget`] — the resource envelope of one run: an optional wall
-//!   clock [`RunBudget::deadline`] and an optional
-//!   [`RunBudget::max_matrix_bytes`] cap on the precomputed
-//!   bubble-distance matrix.
+//!   clock [`RunBudget::deadline`].
 //! * [`Supervisor`] — a token + armed deadline; [`Supervisor::check`] is
 //!   the cooperative stop point.
 //! * [`Ticker`] — amortizes `check` to one shared-state read every `N`
@@ -75,10 +73,6 @@ pub struct RunBudget {
     /// Wall-clock budget for one attempt. When exceeded, the run stops at
     /// the next cooperative check with [`Stop::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// Upper bound in bytes for the precomputed bubble-distance matrix.
-    /// When the matrix would be larger, it is skipped and distances are
-    /// evaluated on the fly — bit-identical results, bounded memory.
-    pub max_matrix_bytes: Option<usize>,
 }
 
 impl RunBudget {
@@ -87,15 +81,15 @@ impl RunBudget {
         Self::default()
     }
 
-    /// A budget with only a wall-clock deadline.
+    /// A budget with a wall-clock deadline.
     pub fn with_deadline(deadline: Duration) -> Self {
-        Self { deadline: Some(deadline), max_matrix_bytes: None }
+        Self { deadline: Some(deadline) }
     }
 
     /// Whether nothing is bounded (supervision checks stay trivially Ok
     /// unless the token is cancelled).
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_matrix_bytes.is_none()
+        self.deadline.is_none()
     }
 }
 
@@ -367,6 +361,5 @@ mod tests {
         let b = RunBudget::with_deadline(Duration::from_secs(1));
         assert!(!b.is_unlimited());
         assert_eq!(b.deadline, Some(Duration::from_secs(1)));
-        assert_eq!(b.max_matrix_bytes, None);
     }
 }

@@ -82,21 +82,16 @@ fn main() {
     println!("recovered cluster sizes: {sizes:?} (truth: 5 x 10,000)");
 
     // --- The same run under a budget. ----------------------------------
-    // A deadline plus a matrix byte cap: the deadline aborts (or degrades,
-    // via run_pipeline_supervised) a run that overruns it, the byte cap
-    // bounds the k×k distance matrix by silently falling back to on-the-fly
-    // distances — with bit-identical output. Generous values here, so this
-    // run completes untouched; shrink the deadline to see a typed
+    // A deadline aborts (or degrades, via run_pipeline_supervised) a run
+    // that overruns it. A generous value here, so this run completes
+    // untouched; shrink the deadline to see a typed
     // `PipelineError::DeadlineExceeded` instead of a hung process.
     use data_bubbles::pipeline::{
         run_pipeline_supervised, Compressor, PipelineConfig, Recovery, RunBudget,
     };
     let mut cfg =
         PipelineConfig::new(250, Compressor::Sample { seed: 42 }, Recovery::Bubbles, bubble_params);
-    cfg.budget = RunBudget {
-        deadline: Some(std::time::Duration::from_secs(60)),
-        max_matrix_bytes: Some(64 * 1024 * 1024),
-    };
+    cfg.budget = RunBudget::with_deadline(std::time::Duration::from_secs(60));
     match run_pipeline_supervised(&data.data, &cfg) {
         Ok(budgeted) => {
             let budgeted_labels =

@@ -1,13 +1,16 @@
 //! Bit-for-bit determinism of the threaded pipeline paths.
 //!
-//! The parallel classification, statistics accumulation and distance-matrix
-//! build promise outputs identical to the sequential path for *every*
-//! thread count. These tests pin that contract end to end: all six paper
-//! pipelines run with 1, 2 and 4 worker threads and with the knob left to
-//! available parallelism, and every run must equal the single-threaded
-//! baseline exactly — same walk, same reachabilities to the last bit. A
-//! second suite pins the matrix-backed `BubbleSpace` against the on-the-fly
-//! evaluation on adversarial corpora.
+//! The parallel classification and statistics accumulation promise outputs
+//! identical to the sequential path for *every* thread count. These tests
+//! pin that contract end to end: all six paper pipelines run with 1, 2 and
+//! 4 worker threads and with the knob left to available parallelism, and
+//! every run must equal the single-threaded baseline exactly — same walk,
+//! same reachabilities to the last bit. A second suite pins the dense
+//! OPTICS walk over Data Bubbles against the heap walk, with and without
+//! the precomputed distance matrix, on random bubble sets and on the
+//! bubbles of adversarial corpora.
+
+mod support;
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
@@ -16,9 +19,16 @@ use data_bubbles::pipeline::{
     run_pipeline, CancelToken, Compressor, PipelineConfig, PipelineError, PipelineOutput, Recovery,
     RunBudget,
 };
+use data_bubbles::{bubble_distance, BubbleSpace, DataBubble};
 use db_birch::BirchParams;
-use db_optics::OpticsParams;
+use db_datagen::Rng;
+use db_optics::{optics, OpticsParams};
 use db_spatial::Dataset;
+use support::{assert_bitwise_equal, random_bubbles, HeapWalk};
+
+/// Matrix build thread counts the heap walk is checked with.
+const MATRIX_THREADS: [Option<NonZeroUsize>; 3] =
+    [NonZeroUsize::new(1), NonZeroUsize::new(2), None];
 
 /// Two dense squares far apart — structured enough that the walk order,
 /// core-distances and expansion all carry signal.
@@ -70,9 +80,66 @@ fn all_six_pipelines_are_thread_count_invariant() {
 }
 
 #[test]
-fn matrix_backed_clustering_equals_on_the_fly() {
-    // `matrix_max_k: 0` disables the precomputed matrix, forcing the
-    // exhaustive scan-and-sort path; the outputs must not change by a bit.
+fn dense_walk_equals_heap_walk_with_and_without_matrix() {
+    // Property: on random bubble sets — verbatim duplicates (exact ties),
+    // sub-MinPts bubbles, and a MinPts above the total weight (every bubble
+    // a walk start) — the dense walk reproduces the heap walk bit for bit,
+    // whether the heap walk's neighbourhoods are scanned on the fly or
+    // served from the matrix, for every ε from 0 to ∞.
+    let iters: usize =
+        std::env::var("ORACLE_ITERS").ok().and_then(|s| s.parse().ok()).unwrap_or(100);
+    let mut rng = Rng::new(4242);
+    for it in 0..iters {
+        let k = 1 + rng.below(40);
+        let dim = 1 + rng.below(4);
+        let bubbles = random_bubbles(&mut rng, k, dim);
+        let total: u64 = bubbles.iter().map(DataBubble::n).sum();
+        let (i, j) = (rng.below(k), rng.below(k));
+        // A realized distance in both orientations: Def. 6 is not bitwise
+        // symmetric, so ε can sit exactly between the two.
+        let eps_values = [
+            0.0,
+            bubble_distance(&bubbles[i], &bubbles[j], i == j),
+            bubble_distance(&bubbles[j], &bubbles[i], i == j),
+            rng.uniform_in(0.5, 15.0),
+            f64::INFINITY,
+        ];
+        let min_pts_values = [1, 2 + rng.below(40), total as usize + 1];
+
+        let plain = BubbleSpace::new(bubbles);
+        let with_matrix: Vec<BubbleSpace> = MATRIX_THREADS
+            .iter()
+            .map(|&threads| {
+                let mut s = plain.clone();
+                assert!(s.precompute_matrix(threads, usize::MAX));
+                s
+            })
+            .collect();
+        for eps in eps_values {
+            for min_pts in min_pts_values {
+                let params = OpticsParams { eps, min_pts };
+                let ctx = format!("iter {it}: k={k} dim={dim} eps={eps:e} MinPts={min_pts}");
+                let dense = optics(&plain, &params);
+                assert_bitwise_equal(&optics(&HeapWalk(&plain), &params), &dense, &ctx);
+                for (space, threads) in with_matrix.iter().zip(MATRIX_THREADS) {
+                    let heap = optics(&HeapWalk(space), &params);
+                    assert_bitwise_equal(
+                        &heap,
+                        &dense,
+                        &format!("{ctx} matrix threads={threads:?}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pipeline_walk_equals_heap_walk_on_adversarial_corpora() {
+    // The pipeline's clustering phase (the dense walk) against the heap
+    // walk over the same bubbles, rebuilt outside the pipeline from the
+    // same sample, on corpora built to stress distance ties (duplicate
+    // floods) and far offsets — at every thread setting.
     let corpora: Vec<(&str, Dataset)> = vec![
         ("two_squares", two_squares()),
         ("far_offset", db_datagen::adversarial::far_offset_clusters(42).build().unwrap()),
@@ -81,39 +148,27 @@ fn matrix_backed_clustering_equals_on_the_fly() {
     ];
     for (name, ds) in corpora {
         let k = (ds.len() / 8).clamp(2, 40);
-        for (ctx, compressor, recovery) in six_pipelines(k, 11) {
-            if recovery != Recovery::Bubbles {
-                continue; // only the bubble variants build a BubbleSpace
-            }
-            let mut cfg = PipelineConfig::new(k, compressor, recovery, params());
-            let with_matrix = run_pipeline(&ds, &cfg).unwrap();
-            cfg.matrix_max_k = 0;
-            let on_the_fly = run_pipeline(&ds, &cfg).unwrap();
-            assert_identical(&with_matrix, &on_the_fly, &format!("{name}: {ctx}"));
-        }
-    }
-}
-
-#[test]
-fn thread_knob_composes_with_matrix_knob_on_adversarial_input() {
-    // Both knobs together: every (threads, matrix) combination agrees on a
-    // corpus built to stress distance ties (duplicates) — the regime where
-    // an unstable sort or merge order would show first.
-    let ds = db_datagen::adversarial::zero_variance_duplicates(0).build().unwrap();
-    let k = (ds.len() / 8).clamp(2, 16);
-    let mut cfg =
-        PipelineConfig::new(k, Compressor::Sample { seed: 5 }, Recovery::Bubbles, params());
-    cfg.threads = NonZeroUsize::new(1);
-    let base = run_pipeline(&ds, &cfg).unwrap();
-    for matrix_max_k in [0usize, usize::MAX] {
-        for threads in [NonZeroUsize::new(1), NonZeroUsize::new(3), None] {
-            cfg.matrix_max_k = matrix_max_k;
+        let mut cfg =
+            PipelineConfig::new(k, Compressor::Sample { seed: 11 }, Recovery::Bubbles, params());
+        cfg.threads = NonZeroUsize::new(1);
+        let base = run_pipeline(&ds, &cfg).unwrap();
+        let sample = db_sampling::compress_by_sampling(&ds, k, 11).unwrap();
+        let bubbles: Vec<DataBubble> =
+            sample.stats.iter().map(|cf| DataBubble::try_from_cf(cf).unwrap()).collect();
+        let space = BubbleSpace::new(bubbles);
+        let heap = optics(&HeapWalk(&space), &params());
+        assert_bitwise_equal(&heap, &base.rep_ordering, &format!("{name}: on-the-fly heap walk"));
+        for threads in MATRIX_THREADS {
             cfg.threads = threads;
-            let other = run_pipeline(&ds, &cfg).unwrap();
-            assert_identical(
-                &base,
-                &other,
-                &format!("matrix_max_k={matrix_max_k} threads={threads:?}"),
+            let out = run_pipeline(&ds, &cfg).unwrap();
+            assert_identical(&base, &out, &format!("{name}: threads={threads:?}"));
+            let mut with_matrix = space.clone();
+            assert!(with_matrix.precompute_matrix(threads, usize::MAX));
+            let heap = optics(&HeapWalk(&with_matrix), &params());
+            assert_bitwise_equal(
+                &heap,
+                &base.rep_ordering,
+                &format!("{name}: matrix heap walk, threads={threads:?}"),
             );
         }
     }
@@ -121,18 +176,14 @@ fn thread_knob_composes_with_matrix_knob_on_adversarial_input() {
 
 #[test]
 fn an_armed_but_unfired_budget_changes_nothing() {
-    // Supervision's determinism contract: arming a deadline, a matrix
-    // byte cap that never binds, and a cancellation token that is never
-    // cancelled must leave every one of the six variants bit-for-bit
-    // identical to the unsupervised run.
+    // Supervision's determinism contract: arming a deadline and a
+    // cancellation token that are never hit must leave every one of the
+    // six variants bit-for-bit identical to the unsupervised run.
     let ds = two_squares();
     for (ctx, compressor, recovery) in six_pipelines(40, 7) {
         let mut cfg = PipelineConfig::new(40, compressor, recovery, params());
         let base = run_pipeline(&ds, &cfg).unwrap();
-        cfg.budget = RunBudget {
-            deadline: Some(Duration::from_secs(3600)),
-            max_matrix_bytes: Some(usize::MAX),
-        };
+        cfg.budget = RunBudget::with_deadline(Duration::from_secs(3600));
         cfg.cancel = Some(CancelToken::new());
         let supervised = run_pipeline(&ds, &cfg).unwrap();
         assert_identical(&base, &supervised, &format!("{ctx} under an idle budget"));

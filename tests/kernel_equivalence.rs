@@ -24,6 +24,17 @@ use db_spatial::kernels::{
 };
 use db_spatial::{auto_index, Dataset, Metric, SpatialIndex, SquaredEuclidean};
 
+/// Serializes the tests that run metered code (classification, index
+/// queries) against the one that reads the process-global
+/// `spatial.sqrt_evals` / `spatial.dist_evals` counters: a sibling test
+/// bumping them between its `reset()` and `snapshot()` would corrupt the
+/// zero-sqrt count.
+static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn locked() -> std::sync::MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn iters() -> u64 {
     std::env::var("KERNEL_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
 }
@@ -275,6 +286,7 @@ fn blob_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
 
 #[test]
 fn classify_backends_agree_at_the_threshold_boundary() {
+    let _g = locked();
     // k <= NN_KERNEL_MAX_REPS routes through the batched kernel, k just
     // above through the spatial index; both must agree with a direct
     // per-point index query bit for bit (same squared distances, same
@@ -296,6 +308,7 @@ fn classify_backends_agree_at_the_threshold_boundary() {
 
 #[test]
 fn parallel_classify_is_split_invariant_on_the_kernel_path() {
+    let _g = locked();
     // Thread chunking hands nn_block arbitrary query slices; the
     // assignment must not depend on the chunk layout.
     let ds = blob_dataset(5_000, 3, 99);
@@ -314,6 +327,7 @@ fn parallel_classify_is_split_invariant_on_the_kernel_path() {
 #[cfg(feature = "metrics")]
 #[test]
 fn kernel_classify_path_performs_zero_sqrt() {
+    let _g = locked();
     // ε-query convention audit: every scan compares in squared space and
     // converts only *reported* results via `surrogate_to_dist`, which is
     // where `spatial.sqrt_evals` is tallied. 1-NN classification reports

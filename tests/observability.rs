@@ -7,11 +7,15 @@
 //! feature (the default); without it the whole file compiles to nothing.
 #![cfg(feature = "metrics")]
 
+mod support;
+
 use std::sync::Mutex;
 
 use data_bubbles::pipeline::{optics_sa_bubbles, PipelineTimings};
-use db_optics::OpticsParams;
+use data_bubbles::{BubbleSpace, DataBubble};
+use db_optics::{optics, ClusterOrdering, OpticsParams};
 use db_spatial::Dataset;
+use support::{assert_bitwise_equal, random_bubbles, HeapWalk};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -39,20 +43,73 @@ fn sa_bubbles_records_algorithm_counters() {
     let _g = locked();
     db_obs::reset();
     let ds = two_squares();
-    optics_sa_bubbles(&ds, 40, 7, &params()).unwrap();
+    let out = optics_sa_bubbles(&ds, 40, 7, &params()).unwrap();
     let snap = db_obs::snapshot();
 
-    // The OPTICS walk over the bubble space evaluates k distances per
-    // neighbourhood query, so at least k*k in total.
-    let distance_calls = snap.counter("optics.distance_calls").unwrap_or(0);
-    assert!(distance_calls >= 40 * 40, "optics.distance_calls = {distance_calls}");
+    // At ε = ∞ every bubble is a core object, so the dense walk evaluates
+    // each of the k(k−1)/2 pairs once, plus a full row of k for each
+    // sub-MinPts bubble's core-distance.
+    let sub_min_pts =
+        out.rep_ordering.entries.iter().filter(|e| e.weight < params().min_pts as u64).count();
+    let expected = 40 * 39 / 2 + 40 * sub_min_pts as u64;
+    assert_eq!(snap.counter("optics.distance_calls"), Some(expected), "optics.distance_calls");
     // One neighbourhood query per bubble processed.
-    assert!(snap.counter("optics.neighborhood_queries").unwrap_or(0) >= 40);
+    assert_eq!(snap.counter("optics.neighborhood_queries"), Some(40));
     // Sampling classified every original object.
     assert_eq!(snap.counter("sampling.points_classified"), Some(ds.len() as u64));
     assert_eq!(snap.counter("sampling.reps_sampled"), Some(40));
     // Exactly one pipeline run.
     assert_eq!(snap.counter("pipeline.runs"), Some(1));
+}
+
+#[test]
+fn dense_walk_counters_match_the_heap_walk() {
+    // The dense walk reports the heap walk's seed updates (every lowered
+    // reachability) and neighbourhood queries (one per processed bubble),
+    // and exactly the distances it evaluates.
+    let _g = locked();
+    let mut rng = db_datagen::Rng::new(99);
+    for it in 0..40 {
+        let k = 1 + rng.below(30);
+        let dim = 1 + rng.below(3);
+        let bubbles = random_bubbles(&mut rng, k, dim);
+        let total: u64 = bubbles.iter().map(DataBubble::n).sum();
+        let space = BubbleSpace::new(bubbles);
+        let min_pts = 1 + rng.below(40);
+        for eps in [rng.uniform_in(0.5, 15.0), f64::INFINITY] {
+            let params = OpticsParams { eps, min_pts };
+            let count = |run: &dyn Fn() -> ClusterOrdering| {
+                db_obs::reset();
+                let ordering = run();
+                let snap = db_obs::snapshot();
+                let get = |name| snap.counter(name).unwrap_or(0);
+                (
+                    ordering,
+                    get("optics.seed_updates"),
+                    get("optics.neighborhood_queries"),
+                    get("optics.distance_calls"),
+                )
+            };
+            let (dense, dense_seeds, dense_queries, dense_dists) =
+                count(&|| optics(&space, &params));
+            let (heap, heap_seeds, heap_queries, _) = count(&|| optics(&HeapWalk(&space), &params));
+            let ctx = format!("iter {it}: k={k} eps={eps:e} MinPts={min_pts}");
+            assert_bitwise_equal(&heap, &dense, &ctx);
+            assert_eq!(dense_seeds, heap_seeds, "{ctx}: seed updates");
+            assert_eq!(dense_queries, k as u64, "{ctx}: dense neighbourhood queries");
+            assert_eq!(heap_queries, k as u64, "{ctx}: heap neighbourhood queries");
+            if eps.is_infinite() {
+                let k = k as u64;
+                let expected = if total < min_pts as u64 {
+                    0 // no core object: no distance is needed
+                } else {
+                    let sub = space.bubbles().iter().filter(|b| b.n() < min_pts as u64);
+                    k * (k - 1) / 2 + k * sub.count() as u64
+                };
+                assert_eq!(dense_dists, expected, "{ctx}: distance calls");
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Chaos suite for the run-supervision layer: deadlines, cooperative
-//! cancellation, worker-panic isolation, fault injection, the graceful
-//! degradation ladder, and the matrix byte budget.
+//! cancellation, worker-panic isolation, fault injection, and the
+//! graceful degradation ladder.
 //!
 //! The fault-injection spec is process-global (it models the `DB_FAULT`
 //! environment variable), so every test that arms it serializes on
@@ -97,18 +97,6 @@ fn injected_worker_panics_surface_as_typed_errors() {
             Compressor::Sample { seed: 7 },
             Recovery::Bubbles,
         ),
-        (
-            "matrix.worker:panic",
-            PipelinePhase::Clustering,
-            Compressor::Sample { seed: 7 },
-            Recovery::Bubbles,
-        ),
-        (
-            "matrix.worker:panic",
-            PipelinePhase::Clustering,
-            Compressor::Birch(BirchParams::default()),
-            Recovery::Bubbles,
-        ),
     ];
     for (spec, want_phase, compressor, recovery) in cases {
         let c = cfg(40, compressor.clone(), recovery);
@@ -197,9 +185,9 @@ fn deadlines_are_honored_within_50ms_on_adversarial_corpora() {
     }
 }
 
-/// A deadline that fires mid-phase (forced by a delay fault inside the
-/// matrix workers) is honored as soon as the workers' next check runs and
-/// is attributed to the phase that overran. Timings are calibrated
+/// A deadline that fires mid-phase (forced by a delay fault at the start
+/// of clustering) is honored as soon as the OPTICS walk's next check runs
+/// and is attributed to the phase that overran. Timings are calibrated
 /// against a clean run so the test holds on slow debug builds.
 #[test]
 fn mid_phase_deadline_is_attributed_to_the_overrunning_phase() {
@@ -212,11 +200,11 @@ fn mid_phase_deadline_is_attributed_to_the_overrunning_phase() {
         run_pipeline(&ds, &c).expect("clean calibration run");
         let clean = t0.elapsed();
         // Deadline comfortably above the whole clean run (so it cannot
-        // fire before clustering); worker delay comfortably above the
+        // fire before clustering); the delay comfortably above the
         // deadline (so it fires during the injected stall).
         c.budget = RunBudget::with_deadline(clean * 3 + Duration::from_millis(50));
         let delay = 2 * (clean * 3 + Duration::from_millis(50)) + Duration::from_millis(50);
-        fault::set_spec(Some(&format!("matrix.worker:delay:{}", delay.as_millis())));
+        fault::set_spec(Some(&format!("clustering:delay:{}", delay.as_millis())));
         FaultGuard(lock)
     };
 
@@ -231,9 +219,6 @@ fn mid_phase_deadline_is_attributed_to_the_overrunning_phase() {
 
 // ------------------------------------------------------------------ ladder
 
-/// A slow distance-matrix build degrades in two rungs (halve k, then
-/// disable the matrix) and then succeeds, recording both rungs and
-/// reporting degraded health.
 /// Calibrates a (deadline, armed fault) pair against a clean run of
 /// `c` so that any attempt hitting `fault_point`'s delay overruns the
 /// deadline while a clean attempt finishes well inside it — robust to
@@ -250,29 +235,9 @@ fn arm_overrun(ds: &Dataset, c: &mut PipelineConfig, fault_point: &str) -> Fault
     FaultGuard(lock)
 }
 
-#[test]
-fn ladder_disables_the_matrix_when_its_build_is_what_overruns() {
-    let ds = big_two_squares();
-    let mut c = cfg(40, Compressor::Sample { seed: 7 }, Recovery::Bubbles);
-    let _armed = arm_overrun(&ds, &mut c, "matrix.worker");
-    db_obs::health::reset();
-    let out = run_pipeline_supervised(&ds, &c).expect("ladder should recover");
-    let actions: Vec<&str> = out.degradations.iter().map(|d| d.action.as_str()).collect();
-    assert_eq!(actions, ["halved k to 20", "disabled the distance matrix"], "rungs taken");
-    for d in &out.degradations {
-        assert!(
-            matches!(d.cause, PipelineError::DeadlineExceeded { .. }),
-            "rung cause must be the deadline: {:?}",
-            d.cause
-        );
-    }
-    assert_eq!(db_obs::health::current().status, db_obs::health::Status::Degraded);
-    assert!(db_obs::health::current().detail.contains("disabled the distance matrix"));
-}
-
 /// When the parallel classification itself is slow, only the final rung
 /// (single-threaded execution, which bypasses the worker fault point)
-/// rescues the run — all three rungs are recorded.
+/// rescues the run — both rungs are recorded.
 #[test]
 fn ladder_falls_back_to_a_single_thread_as_the_last_rung() {
     let ds = big_two_squares();
@@ -281,11 +246,7 @@ fn ladder_falls_back_to_a_single_thread_as_the_last_rung() {
     db_obs::health::reset();
     let out = run_pipeline_supervised(&ds, &c).expect("single-threaded rung should recover");
     let actions: Vec<&str> = out.degradations.iter().map(|d| d.action.as_str()).collect();
-    assert_eq!(
-        actions,
-        ["halved k to 20", "disabled the distance matrix", "dropped to a single thread"],
-        "rungs taken"
-    );
+    assert_eq!(actions, ["halved k to 20", "dropped to a single thread"], "rungs taken");
     assert_eq!(db_obs::health::current().status, db_obs::health::Status::Degraded);
 }
 
@@ -340,35 +301,6 @@ fn unconstrained_supervised_run_is_clean_and_identical_to_unsupervised() {
     assert_identical(&plain, &supervised, "supervised vs plain");
     assert_eq!(db_obs::health::current().status, db_obs::health::Status::Ok);
     db_obs::health::reset();
-}
-
-// ----------------------------------------------------------- matrix budget
-
-/// `max_matrix_bytes` skips the precomputed matrix without changing a bit
-/// of the output (the on-the-fly path is exact) and without counting as a
-/// degradation.
-#[test]
-fn matrix_byte_budget_skips_the_matrix_bit_identically() {
-    let ds = big_two_squares();
-    let _quiet = FAULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut c = cfg(40, Compressor::Sample { seed: 7 }, Recovery::Bubbles);
-    let unconstrained = run_pipeline(&ds, &c).expect("unconstrained");
-
-    // 40×40×12 bytes = 19,200: a 1,000-byte cap must force the skip.
-    let skipped_before = db_obs::snapshot().counter("pipeline.matrix_skipped_budget").unwrap_or(0);
-    c.budget.max_matrix_bytes = Some(1_000);
-    let capped = run_pipeline_supervised(&ds, &c).expect("capped");
-    assert_identical(&unconstrained, &capped, "matrix byte cap");
-    assert!(capped.degradations.is_empty(), "a quality-preserving skip is not a degradation");
-    if cfg!(feature = "metrics") {
-        let skipped = db_obs::snapshot().counter("pipeline.matrix_skipped_budget").unwrap_or(0);
-        assert!(skipped > skipped_before, "skip must be counted");
-    }
-
-    // A cap generous enough for the matrix changes nothing either.
-    c.budget.max_matrix_bytes = Some(usize::MAX);
-    let roomy = run_pipeline(&ds, &c).expect("roomy cap");
-    assert_identical(&unconstrained, &roomy, "roomy matrix byte cap");
 }
 
 // ------------------------------------------------------------- fault spec
