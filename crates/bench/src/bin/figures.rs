@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Reports are written to `<out>/<figure>.txt` (+ `.json` series) and
-//! echoed to stdout. With the (default) `metrics` feature each figure also
-//! prints the db-obs metrics table and writes `<out>/<figure>.metrics.jsonl`;
+//! echoed to stdout. Each figure also prints the db-obs metrics table and
+//! writes `<out>/<figure>.metrics.jsonl`;
 //! metrics are reset between figures so each file covers one figure only.
 //!
 //! `--trace-out` records event-level traces (Chrome trace JSON, open in

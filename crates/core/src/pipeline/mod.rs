@@ -202,7 +202,7 @@ pub struct PipelineOutput {
     /// Trace run id of this pipeline execution: every trace event the run
     /// emitted carries it, so `db_obs::trace::events_for_run(run_id)` is
     /// the run's self-contained event stream. Ids are process-unique and
-    /// assigned even when tracing is compiled out or disabled.
+    /// assigned even when tracing is disabled.
     pub run_id: u64,
     /// Degradation-ladder rungs taken before this output was produced.
     /// Always empty for [`run_pipeline`] (which never retries); populated
@@ -606,15 +606,14 @@ pub fn recluster_from_compression(
     })
 }
 
-/// [`recluster_from_compression`] with the degradation ladder of
-/// [`run_pipeline_supervised`], minus the halve-`k` rung (the compression
-/// fixes `k`): on [`PipelineError::DeadlineExceeded`] the retry drops to a
-/// single thread under a fresh deadline. A recluster has no threaded
-/// phase, so that rung is in effect one retry under a fresh deadline.
-/// Cancellations and worker panics are never retried. The outcome is
-/// reported to [`db_obs::health`] exactly as for supervised pipeline runs
-/// — except for cancellations, which are a caller decision, not a service
-/// failure.
+/// [`recluster_from_compression`] with a one-rung degradation ladder: on
+/// [`PipelineError::DeadlineExceeded`] the recluster is retried once
+/// under a fresh deadline. The coarser rungs of [`run_pipeline_supervised`]
+/// do not apply: the compression fixes `k`, and a recluster has no
+/// threaded phase. Cancellations and worker panics are never retried.
+/// The outcome is reported to [`db_obs::health`] exactly as for
+/// supervised pipeline runs — except for cancellations, which are a
+/// caller decision, not a service failure.
 ///
 /// # Errors
 ///
@@ -624,45 +623,21 @@ pub fn recluster_supervised(
     inc: &IncrementalCompression,
     cfg: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    let mut attempt = cfg.clone();
     let mut degradations: Vec<Degradation> = Vec::new();
     loop {
-        match recluster_from_compression(inc, &attempt) {
-            Ok(mut out) => {
-                out.degradations = degradations;
-                if out.degradations.is_empty() {
-                    db_obs::health::report_ok();
-                } else {
-                    db_obs::health::report_degraded(format!(
-                        "recluster degraded {} rung(s): {}",
-                        out.degradations.len(),
-                        out.degradations
-                            .iter()
-                            .map(|d| d.action.as_str())
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    ));
-                }
-                return Ok(out);
-            }
+        match recluster_from_compression(inc, cfg) {
             Err(cause @ PipelineError::DeadlineExceeded { .. }) if degradations.is_empty() => {
-                attempt.threads = NonZeroUsize::new(1);
-                let action = "dropped to a single thread".to_string();
-                db_obs::counter!("pipeline.degradations").incr();
-                db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
-                db_obs::log_warn!("recluster over budget ({cause}); retrying coarser: {action}");
-                degradations.push(Degradation { cause, action });
+                take_rung(
+                    "recluster",
+                    cause,
+                    "retried under a fresh deadline".to_string(),
+                    &mut degradations,
+                );
             }
-            Err(e @ PipelineError::Cancelled { .. }) => {
-                // A superseded or withdrawn recluster is not a health
-                // event: the cache keeps serving and a newer run owns the
-                // health slot.
-                return Err(e);
-            }
-            Err(e) => {
-                db_obs::health::report_failing(e.to_string());
-                return Err(e);
-            }
+            // A superseded or withdrawn recluster is not a health event:
+            // the cache keeps serving and a newer run owns the health slot.
+            Err(e @ PipelineError::Cancelled { .. }) => return Err(e),
+            result => return report_outcome("recluster", result, degradations),
         }
     }
 }
@@ -700,23 +675,6 @@ pub fn run_pipeline_supervised(
     let mut degradations: Vec<Degradation> = Vec::new();
     loop {
         match run_pipeline(ds, &attempt) {
-            Ok(mut out) => {
-                out.degradations = degradations;
-                if out.degradations.is_empty() {
-                    db_obs::health::report_ok();
-                } else {
-                    db_obs::health::report_degraded(format!(
-                        "pipeline degraded {} rung(s): {}",
-                        out.degradations.len(),
-                        out.degradations
-                            .iter()
-                            .map(|d| d.action.as_str())
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    ));
-                }
-                return Ok(out);
-            }
             Err(cause @ PipelineError::DeadlineExceeded { .. })
                 if degradations.len() < MAX_DEGRADATIONS =>
             {
@@ -730,15 +688,48 @@ pub fn run_pipeline_supervised(
                         "dropped to a single thread".to_string()
                     }
                 };
-                db_obs::counter!("pipeline.degradations").incr();
-                db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
-                db_obs::log_warn!("pipeline over budget ({cause}); retrying coarser: {action}");
-                degradations.push(Degradation { cause, action });
+                take_rung("pipeline", cause, action, &mut degradations);
             }
-            Err(e) => {
-                db_obs::health::report_failing(e.to_string());
-                return Err(e);
+            result => return report_outcome("pipeline", result, degradations),
+        }
+    }
+}
+
+/// Records one degradation-ladder rung of a supervised `run` that overran
+/// its deadline: counted, traced, logged and appended to `degradations`.
+fn take_rung(run: &str, cause: PipelineError, action: String, degradations: &mut Vec<Degradation>) {
+    db_obs::counter!("pipeline.degradations").incr();
+    db_obs::trace_instant!("pipeline.degraded", "rung", degradations.len() + 1);
+    db_obs::log_warn!("{run} over budget ({cause}); {action}");
+    degradations.push(Degradation { cause, action });
+}
+
+/// Reports the final outcome of a supervised `run` to [`db_obs::health`]
+/// — `ok`, `degraded` naming every rung taken, or `failing` — and attaches
+/// the rungs to a successful output.
+fn report_outcome(
+    run: &str,
+    result: Result<PipelineOutput, PipelineError>,
+    degradations: Vec<Degradation>,
+) -> Result<PipelineOutput, PipelineError> {
+    match result {
+        Ok(mut out) => {
+            if degradations.is_empty() {
+                db_obs::health::report_ok();
+            } else {
+                let actions: Vec<&str> = degradations.iter().map(|d| d.action.as_str()).collect();
+                db_obs::health::report_degraded(format!(
+                    "{run} degraded {} rung(s): {}",
+                    degradations.len(),
+                    actions.join("; ")
+                ));
             }
+            out.degradations = degradations;
+            Ok(out)
+        }
+        Err(e) => {
+            db_obs::health::report_failing(e.to_string());
+            Err(e)
         }
     }
 }

@@ -17,19 +17,17 @@
 //! with [`render_table`] or [`json_lines`], and [`reset()`] between
 //! experiments.
 //!
-//! # The `metrics` feature
+//! # One build configuration
 //!
-//! With the (default) `metrics` feature **off**, the macros still expand
-//! and typecheck identically but resolve to inert zero-sized stubs with
-//! `#[inline(always)]` empty bodies; `snapshot()` returns an empty
-//! [`Snapshot`]. Instrumented code needs no `cfg` of its own. The logger
-//! and the JSON machinery ([`Json`], [`ToJson`]) are always available.
+//! Metrics, spans and the event tracer are always compiled in. Event
+//! tracing is gated at run time by `DB_TRACE` / [`trace::set_enabled`]
+//! and records nothing unless asked for, so a disabled trace site costs
+//! one relaxed atomic load.
 //!
 //! ```
 //! let _guard = db_obs::span!("doc.example");
 //! db_obs::counter!("doc.example_events").add(3);
 //! let snap = db_obs::snapshot();
-//! #[cfg(feature = "metrics")]
 //! assert_eq!(snap.counter("doc.example_events"), Some(3));
 //! println!("{}", db_obs::render_table(&snap));
 //! ```
@@ -38,37 +36,21 @@ mod export;
 pub mod health;
 mod json;
 mod logger;
-mod snapshot;
-pub mod trace;
-
-#[cfg(feature = "metrics")]
 mod registry;
-#[cfg(feature = "metrics")]
+mod snapshot;
 mod span;
-
-#[cfg(not(feature = "metrics"))]
-mod noop;
+pub mod trace;
 
 pub use export::{json_lines, prometheus_text, render_table};
 pub use json::{Json, JsonParseError, ToJson};
 pub use logger::{log_emit, log_enabled, set_filter_spec, Level};
-pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
-pub use trace::{folded_stacks, trace_json, RunId, RunIdGuard, TraceEvent, TraceEventKind};
-
-#[cfg(feature = "metrics")]
 pub use registry::{
     counter as registry_counter, gauge as registry_gauge, histogram as registry_histogram, reset,
     snapshot, span_stat as registry_span_stat, Counter, Gauge, Histogram,
 };
-#[cfg(feature = "metrics")]
+pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::{SpanGuard, SpanHandle, SpanStat};
-
-#[cfg(not(feature = "metrics"))]
-pub use noop::{
-    counter as registry_counter, gauge as registry_gauge, histogram as registry_histogram, reset,
-    snapshot, span_stat as registry_span_stat, Counter, Gauge, Histogram, SpanGuard, SpanHandle,
-    SpanStat,
-};
+pub use trace::{folded_stacks, trace_json, RunId, RunIdGuard, TraceEvent, TraceEventKind};
 
 /// Not part of the public API; re-exported for the expansion of the
 /// metric macros.
@@ -176,7 +158,7 @@ macro_rules! span_linked {
 
 /// Records an instant event into the trace ring (a vertical tick in the
 /// Chrome-trace timeline), optionally with one named integer argument.
-/// Free when tracing is compiled out or runtime-disabled.
+/// Costs one relaxed atomic load when tracing is runtime-disabled.
 ///
 /// ```
 /// db_obs::trace_instant!("pipeline.compressed");

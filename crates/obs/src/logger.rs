@@ -1,5 +1,4 @@
-//! An env-filtered structured logger, always compiled (independent of the
-//! `metrics` feature) and silent by default.
+//! An env-filtered structured logger, silent by default.
 //!
 //! The filter comes from the `DB_LOG` environment variable, read once:
 //!

@@ -1,6 +1,5 @@
-//! Point-in-time copies of the metric state, independent of the `metrics`
-//! feature so exporters and consumers compile in both modes (with the
-//! feature off, [`crate::snapshot()`] just returns an empty snapshot).
+//! Point-in-time copies of the metric state, as returned by
+//! [`crate::snapshot()`].
 
 /// A point-in-time copy of one histogram's state.
 #[derive(Debug, Clone, PartialEq)]

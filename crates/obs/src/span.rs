@@ -19,22 +19,19 @@
 //! zero — self time means "time not attributable to instrumented
 //! children", not "time the parent thread was idle".
 //!
-//! With the `tracing` feature enabled and the trace ring runtime-enabled,
-//! every guard additionally emits begin/end events into the
-//! [`trace`](crate::trace) ring.
+//! With the trace ring runtime-enabled, every guard additionally emits
+//! begin/end events into the [`trace`](crate::trace) ring.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-#[cfg(feature = "tracing")]
 use crate::trace;
 
 /// Aggregated statistics for one span name.
 #[derive(Debug)]
 pub struct SpanStat {
-    #[cfg(feature = "tracing")]
     name_id: u32,
     count: AtomicU64,
     total_ns: AtomicU64,
@@ -45,10 +42,7 @@ pub struct SpanStat {
 
 impl SpanStat {
     pub(crate) fn new(name: &'static str) -> Self {
-        #[cfg(not(feature = "tracing"))]
-        let _ = name;
         Self {
-            #[cfg(feature = "tracing")]
             name_id: trace::intern(name),
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
@@ -56,11 +50,6 @@ impl SpanStat {
             min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
         }
-    }
-
-    #[cfg(feature = "tracing")]
-    fn name_id(&self) -> u32 {
-        self.name_id
     }
 
     fn record(&self, elapsed_ns: u64, self_time_ns: u64) {
@@ -106,7 +95,6 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct SpanHandle {
     child_ns: Arc<AtomicU64>,
-    #[cfg(feature = "tracing")]
     run_id: u64,
 }
 
@@ -123,7 +111,6 @@ pub struct SpanGuard {
     report_to: Option<SpanHandle>,
     /// Run id to restore when a *linked* span closes (only linked spans
     /// change the thread's run id).
-    #[cfg(feature = "tracing")]
     restore_run_id: Option<u64>,
 }
 
@@ -131,18 +118,10 @@ impl SpanGuard {
     /// Opens a span recording into `stat`.
     pub fn enter(stat: &'static SpanStat) -> Self {
         CHILD_NS.with(|c| c.borrow_mut().push(0));
-        #[cfg(feature = "tracing")]
         if trace::enabled() {
-            trace::record_begin(stat.name_id());
+            trace::record_begin(stat.name_id);
         }
-        Self {
-            stat,
-            start: Instant::now(),
-            fan_in: None,
-            report_to: None,
-            #[cfg(feature = "tracing")]
-            restore_run_id: None,
-        }
+        Self { stat, start: Instant::now(), fan_in: None, report_to: None, restore_run_id: None }
     }
 
     /// Opens a span linked to a parent span on another thread: on drop,
@@ -151,18 +130,15 @@ impl SpanGuard {
     /// Used via [`span_linked!`](crate::span_linked!).
     pub fn enter_linked(stat: &'static SpanStat, handle: &SpanHandle) -> Self {
         CHILD_NS.with(|c| c.borrow_mut().push(0));
-        #[cfg(feature = "tracing")]
         let prev_run_id = trace::set_current_run_id(handle.run_id);
-        #[cfg(feature = "tracing")]
         if trace::enabled() {
-            trace::record_begin(stat.name_id());
+            trace::record_begin(stat.name_id);
         }
         Self {
             stat,
             start: Instant::now(),
             fan_in: None,
             report_to: Some(handle.clone()),
-            #[cfg(feature = "tracing")]
             restore_run_id: Some(prev_run_id),
         }
     }
@@ -172,20 +148,15 @@ impl SpanGuard {
     /// accumulator, so calling this repeatedly is cheap.
     pub fn handle(&mut self) -> SpanHandle {
         let child_ns = self.fan_in.get_or_insert_with(|| Arc::new(AtomicU64::new(0))).clone();
-        SpanHandle {
-            child_ns,
-            #[cfg(feature = "tracing")]
-            run_id: trace::current_run_id(),
-        }
+        SpanHandle { child_ns, run_id: trace::current_run_id() }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let elapsed = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        #[cfg(feature = "tracing")]
         if trace::enabled() {
-            trace::record_end(self.stat.name_id());
+            trace::record_end(self.stat.name_id);
         }
         let mut child = CHILD_NS.with(|c| {
             let mut stack = c.borrow_mut();
@@ -201,7 +172,6 @@ impl Drop for SpanGuard {
         if let Some(parent) = &self.report_to {
             parent.child_ns.fetch_add(elapsed, Ordering::AcqRel);
         }
-        #[cfg(feature = "tracing")]
         if let Some(prev) = self.restore_run_id {
             trace::set_current_run_id(prev);
         }

@@ -12,14 +12,10 @@
 //!
 //! # Enabling
 //!
-//! Two gates, both default-off:
-//!
-//! 1. the `tracing` **cargo feature** of `db-obs` (implies `metrics`) —
-//!    without it every function here is an inert stub and span guards
-//!    contain no trace code at all;
-//! 2. the **runtime toggle** — `DB_TRACE=1` in the environment, or
-//!    [`set_enabled`]`(true)` from code. Disabled, the per-event cost is a
-//!    single relaxed atomic load (asserted by the overhead bench).
+//! Tracing is always compiled in and off by default. Turn it on with
+//! `DB_TRACE=1` in the environment, or [`set_enabled`]`(true)` from code.
+//! Disabled, the per-event cost is a single relaxed atomic load (guarded
+//! by the overhead bench).
 //!
 //! # Consistency model
 //!
@@ -128,7 +124,6 @@ pub fn set_current_run_id(id: u64) -> u64 {
 
 // ---------------------------------------------------------------- ring
 
-#[cfg(feature = "tracing")]
 mod ring {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Mutex, Once, OnceLock};
@@ -404,70 +399,7 @@ mod ring {
     }
 }
 
-#[cfg(feature = "tracing")]
 pub use ring::{
-    clear, enabled, events, events_for_run, intern, record_begin, record_end, record_instant,
-    set_enabled, DEFAULT_RING_CAPACITY,
-};
-
-// ---------------------------------------------------------------- stubs
-
-/// Inert stand-ins compiled when the `tracing` feature is off, mirroring
-/// the real API so instrumented code compiles unchanged.
-#[cfg(not(feature = "tracing"))]
-mod stub {
-    use super::TraceEvent;
-
-    /// Default per-thread ring capacity (unused without `tracing`).
-    pub const DEFAULT_RING_CAPACITY: usize = 16_384;
-
-    /// Always false without the `tracing` feature.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// Does nothing without the `tracing` feature.
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-
-    /// Does nothing without the `tracing` feature.
-    #[inline(always)]
-    pub fn clear() {}
-
-    /// Always 0 without the `tracing` feature.
-    #[inline(always)]
-    pub fn intern(_name: &'static str) -> u32 {
-        0
-    }
-
-    /// Does nothing without the `tracing` feature.
-    #[inline(always)]
-    pub fn record_begin(_name_id: u32) {}
-
-    /// Does nothing without the `tracing` feature.
-    #[inline(always)]
-    pub fn record_end(_name_id: u32) {}
-
-    /// Does nothing without the `tracing` feature.
-    #[inline(always)]
-    pub fn record_instant(_name_id: u32, _arg_name_id: u32, _arg: u64) {}
-
-    /// Always empty without the `tracing` feature.
-    #[inline]
-    pub fn events() -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    /// Always empty without the `tracing` feature.
-    #[inline]
-    pub fn events_for_run(_run_id: u64) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-#[cfg(not(feature = "tracing"))]
-pub use stub::{
     clear, enabled, events, events_for_run, intern, record_begin, record_end, record_instant,
     set_enabled, DEFAULT_RING_CAPACITY,
 };

@@ -7,7 +7,6 @@
 //! [`RunId`] and asserts only on events carrying that id; recording is
 //! globally enabled and never turned back off. `clear()` hides every
 //! thread's events, so the tests also run one at a time.
-#![cfg(feature = "tracing")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};

@@ -16,8 +16,7 @@
 //! |                | registry (counters, gauges, histogram buckets,
 //! |                | span summaries)                                     |
 //! | `GET /trace`   | the tracing ring buffers as Chrome trace JSON
-//! |                | (empty `traceEvents` unless `DB_TRACE=1` and the
-//! |                | `tracing` feature are on)                           |
+//! |                | (empty `traceEvents` unless `DB_TRACE=1`)           |
 //! | `GET /healthz` | last supervised-run health from [`db_obs::health`]:
 //! |                | `200 ok` / `200 degraded: …` / `503 failing: …`     |
 //!

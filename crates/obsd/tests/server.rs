@@ -42,13 +42,8 @@ fn serves_all_routes() {
     db_obs::counter!("obsd.test_requests").add(3);
     let (status, body) = request(addr, "GET", "/metrics");
     assert_eq!(status, 200);
-    #[cfg(feature = "metrics")]
-    {
-        assert!(body.contains("# TYPE obsd_test_requests counter"), "missing TYPE: {body}");
-        assert!(body.contains("obsd_test_requests 3"), "missing sample: {body}");
-    }
-    #[cfg(not(feature = "metrics"))]
-    assert!(body.is_empty());
+    assert!(body.contains("# TYPE obsd_test_requests counter"), "missing TYPE: {body}");
+    assert!(body.contains("obsd_test_requests 3"), "missing sample: {body}");
 
     let (status, body) = request(addr, "GET", "/trace");
     assert_eq!(status, 200);
@@ -65,7 +60,6 @@ fn serves_all_routes() {
 fn concurrent_scrapes_during_recording() {
     let server = TelemetryServer::start("127.0.0.1:0").expect("start");
     let addr = server.addr();
-    #[cfg(feature = "tracing")]
     db_obs::trace::set_enabled(true);
 
     std::thread::scope(|s| {

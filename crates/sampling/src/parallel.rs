@@ -406,27 +406,6 @@ mod tests {
         nn_classify_parallel(&ds, &reps, None);
     }
 
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn both_paths_emit_identical_metrics() {
-        // The <1024-point sequential fallback must leave the same span and
-        // counter trail as the threaded path (satellite bugfix: the
-        // fallback used to skip `sampling.nn_classify` instrumentation).
-        let reps_small = data(1_200).subset(&[0, 600]);
-        let names = |n: usize, t: Option<NonZeroUsize>| {
-            db_obs::reset();
-            let ds = data(n);
-            nn_classify_parallel(&ds, &reps_small, t);
-            let snap = db_obs::snapshot();
-            assert_eq!(snap.counter("sampling.points_classified"), Some(n as u64));
-            assert!(snap.span("sampling.nn_classify").is_some(), "span missing (n = {n})");
-            snap
-        };
-        names(100, NonZeroUsize::new(4)); // sequential fallback
-        names(2_000, NonZeroUsize::new(2)); // threaded path
-        names(2_000, NonZeroUsize::new(1)); // explicit single thread
-    }
-
     #[test]
     fn accumulation_is_thread_count_invariant() {
         let ds = data(9_000);

@@ -324,7 +324,6 @@ fn parallel_classify_is_split_invariant_on_the_kernel_path() {
 // Zero-sqrt audit: the kernel classify path never leaves squared space
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "metrics")]
 #[test]
 fn kernel_classify_path_performs_zero_sqrt() {
     let _g = locked();

@@ -3,9 +3,7 @@
 //! agree with the wall-clock `PipelineTimings`.
 //!
 //! The registry is process-global, so these tests serialize on a lock and
-//! reset before each run. They are only meaningful with the `metrics`
-//! feature (the default); without it the whole file compiles to nothing.
-#![cfg(feature = "metrics")]
+//! reset before each run.
 
 mod support;
 

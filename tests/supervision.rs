@@ -11,11 +11,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use data_bubbles::pipeline::{
-    run_pipeline, run_pipeline_supervised, CancelToken, Compressor, PipelineConfig, PipelineError,
-    PipelineOutput, PipelinePhase, Recovery, RunBudget,
+    recluster_supervised, run_pipeline, run_pipeline_supervised, CancelToken, Compressor,
+    PipelineConfig, PipelineError, PipelineOutput, PipelinePhase, Recovery, RunBudget,
 };
 use db_birch::BirchParams;
 use db_optics::OpticsParams;
+use db_sampling::{compress_by_sampling, IncrementalCompression};
 use db_spatial::Dataset;
 use db_supervise::fault;
 
@@ -265,6 +266,29 @@ fn exhausted_ladder_reports_failing_health() {
         Err(PipelineError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded after the full ladder, got {other:?}"),
     }
+    assert_eq!(db_obs::health::current().status, db_obs::health::Status::Failing);
+    db_obs::health::reset();
+}
+
+/// A recluster's only rung is one retry under a fresh deadline. When the
+/// clustering stall overruns both attempts, the recluster fails with the
+/// typed clustering-phase error and reports failing health.
+#[test]
+fn recluster_overrunning_every_attempt_reports_failing_health() {
+    let ds = big_two_squares();
+    let inc = IncrementalCompression::from_sample(&compress_by_sampling(&ds, 40, 7).unwrap());
+    let _armed = arm("clustering:delay:80");
+    db_obs::health::reset();
+    let mut c = cfg(40, Compressor::Sample { seed: 7 }, Recovery::Bubbles);
+    c.budget = RunBudget::with_deadline(Duration::from_millis(25));
+    let t0 = Instant::now();
+    match recluster_supervised(&inc, &c) {
+        Err(PipelineError::DeadlineExceeded { phase, .. }) => {
+            assert_eq!(phase, PipelinePhase::Clustering);
+        }
+        other => panic!("expected DeadlineExceeded after the retry, got {other:?}"),
+    }
+    assert!(t0.elapsed() >= Duration::from_millis(160), "both attempts must have stalled");
     assert_eq!(db_obs::health::current().status, db_obs::health::Status::Failing);
     db_obs::health::reset();
 }

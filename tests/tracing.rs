@@ -3,10 +3,8 @@
 //! must agree with `PipelineTimings`, and every pipeline variant must
 //! emit a self-contained, balanced trace under its own run id.
 //!
-//! Only meaningful with the `tracing` feature (the default); the trace
-//! ring is process-global, so each test filters by its runs' ids instead
-//! of locking.
-#![cfg(feature = "tracing")]
+//! The trace ring is process-global, so each test filters by its runs'
+//! ids instead of locking.
 
 use std::collections::HashMap;
 
