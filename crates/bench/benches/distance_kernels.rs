@@ -1,9 +1,8 @@
-//! Distance-kernel benchmark (ISSUE 9): scalar loop vs the batched,
-//! cache-blocked kernels in `db_spatial::kernels`, per dimensionality,
-//! plus the end-to-end effect on classification and a full pipeline run.
+//! Distance-kernel benchmark: scalar loop vs the batched, cache-blocked
+//! kernels in `db_spatial::kernels`, per dimensionality.
 //!
 //! ```text
-//! cargo bench -p db-bench --bench distance_kernels [-- --out FILE]
+//! cargo bench -p db-bench --bench distance_kernels
 //! ```
 //!
 //! The scalar baseline is a local reimplementation of the historic
@@ -15,23 +14,15 @@
 //! Ends with `kernel_guard`: the d=8 one-to-many kernel must beat the
 //! scalar loop by ≥1.3×. On single-CPU runners a failing ratio is
 //! reported as a skip (noisy shared cores make the ratio unstable), not
-//! an error; on anything bigger it aborts the bench.
-//!
-//! The report is written as machine-readable JSON (`*_s` leaves, the
-//! `bench-diff` input format) to `BENCH_pr9.json` (or `--out`).
+//! an error; on anything bigger it aborts the bench. The end-to-end
+//! effect of the kernels on classification and on a full pipeline is
+//! timed by `perfbench` (`gauss20-k256`, `ds1-f1000`).
 
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use data_bubbles::pipeline::optics_sa_bubbles;
-use db_obs::Json;
-use db_optics::OpticsParams;
-use db_sampling::{compress_by_sampling, nn_classify, NN_KERNEL_MAX_REPS};
 use db_spatial::kernels::dists_to_block;
-use db_spatial::Dataset;
-
-const USAGE: &str = "usage: distance_kernels [--out FILE]";
 
 /// The historic scalar distance: strict left-to-right accumulation.
 #[inline(never)]
@@ -90,25 +81,6 @@ fn per_dim(rng: &mut db_rng::Rng, dim: usize, rows: usize, passes: usize) -> (f6
 }
 
 fn main() -> ExitCode {
-    // `cargo bench` runs with the package dir as cwd; anchor the default
-    // to the workspace root so the report lands next to BENCH_pr8.json.
-    let mut out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json").to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("--out needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // `cargo bench` forwards harness flags; ignore them.
-            "--bench" => {}
-            other => eprintln!("ignoring unknown argument {other}"),
-        }
-    }
-
     let mut rng = db_rng::Rng::seed_from_u64(9);
     let rows = 2048usize;
     let passes = 200usize;
@@ -116,7 +88,6 @@ fn main() -> ExitCode {
     // Per-dimension throughput: the specialised small dims, the d=8
     // guard point, and two chunked general dims.
     println!("one-to-many, {rows} rows x {passes} passes, ns/dist (median of 5):");
-    let mut dims_json = Vec::new();
     let mut guard_ratio = 0.0;
     for dim in [2usize, 3, 4, 8, 16, 32] {
         let (scalar_ns, kernel_ns, ratio) = per_dim(&mut rng, dim, rows, passes);
@@ -126,141 +97,24 @@ fn main() -> ExitCode {
         if dim == 8 {
             guard_ratio = ratio;
         }
-        dims_json.push(Json::Obj(vec![
-            ("dim".into(), Json::Int(dim as i64)),
-            ("scalar_ns_per_dist".into(), Json::Num(scalar_ns)),
-            ("kernel_ns_per_dist".into(), Json::Num(kernel_ns)),
-            ("scalar_s".into(), Json::Num(scalar_ns * 1e-9)),
-            ("kernel_s".into(), Json::Num(kernel_ns * 1e-9)),
-            ("speedup".into(), Json::Num(ratio)),
-        ]));
     }
-
-    // End-to-end classification: n points against k representatives on
-    // the kernel backend vs a scalar-loop emulation of the old path.
-    let classify_json = {
-        let (n, k, dim) = (50_000usize, NN_KERNEL_MAX_REPS, 8usize);
-        let mut ds = Dataset::new(dim).expect("dim");
-        let mut row = vec![0.0f64; dim];
-        for _ in 0..n {
-            for x in row.iter_mut() {
-                *x = rng.gen_f64(-100.0, 100.0);
-            }
-            ds.push(&row).expect("finite");
-        }
-        let mut reps = Dataset::new(dim).expect("dim");
-        for i in (0..k).map(|i| i * (n / k)) {
-            reps.push(ds.point(i)).expect("finite");
-        }
-        let kernel_s = median_s(3, || {
-            let assign = nn_classify(&ds, &reps);
-            assign[0] as f64
-        });
-        let scalar_s = median_s(3, || {
-            let mut acc = 0usize;
-            for i in 0..ds.len() {
-                let p = ds.point(i);
-                let (mut best, mut best_d) = (0u32, f64::INFINITY);
-                for j in 0..reps.len() {
-                    let d = scalar_sq(p, reps.point(j));
-                    if d < best_d {
-                        best_d = d;
-                        best = j as u32;
-                    }
-                }
-                acc = acc.wrapping_add(best as usize);
-            }
-            acc as f64
-        });
-        println!(
-            "classify n={n} k={k} d={dim}: scalar {scalar_s:.3}s  kernel {kernel_s:.3}s  \
-             speedup {:.2}x",
-            scalar_s / kernel_s
-        );
-        Json::Obj(vec![
-            ("n".into(), Json::Int(n as i64)),
-            ("k".into(), Json::Int(k as i64)),
-            ("dim".into(), Json::Int(dim as i64)),
-            ("scalar_s".into(), Json::Num(scalar_s)),
-            ("kernel_s".into(), Json::Num(kernel_s)),
-            ("speedup".into(), Json::Num(scalar_s / kernel_s)),
-        ])
-    };
-
-    // End-to-end pipeline effect: one full OPTICS-SA/Bubbles run. The
-    // kernels have no scalar twin left in-tree, so this is an absolute
-    // number for bench-diff to track across PRs.
-    let pipeline_json = {
-        let (n, k) = (20_000usize, 200usize);
-        let d = db_datagen::separated_blobs(
-            &db_datagen::SeparatedBlobsParams { n, ..Default::default() },
-            9,
-        )
-        .data;
-        let params = OpticsParams { eps: f64::INFINITY, min_pts: 20 };
-        let elapsed_s = median_s(3, || {
-            let out = optics_sa_bubbles(&d, k, 9, &params).expect("pipeline");
-            out.n_representatives as f64
-        });
-        // Classification dominated: the compression step inside is the
-        // kernel consumer being tracked.
-        let compress_s = median_s(3, || {
-            let c = compress_by_sampling(&d, k, 9).expect("compress");
-            c.stats.len() as f64
-        });
-        println!(
-            "pipeline n={n} k={k}: optics_sa_bubbles {elapsed_s:.3}s, compress {compress_s:.3}s"
-        );
-        Json::Obj(vec![
-            ("n".into(), Json::Int(n as i64)),
-            ("k".into(), Json::Int(k as i64)),
-            ("optics_sa_bubbles_s".into(), Json::Num(elapsed_s)),
-            ("compress_by_sampling_s".into(), Json::Num(compress_s)),
-        ])
-    };
 
     // kernel_guard: the batched kernel must actually pay for itself.
     const GUARD_MIN_RATIO: f64 = 1.3;
     let single_cpu = std::thread::available_parallelism().map(|p| p.get() <= 1).unwrap_or(false);
-    let guard_passed = guard_ratio >= GUARD_MIN_RATIO;
-    let guard_status = if guard_passed {
+    if guard_ratio >= GUARD_MIN_RATIO {
         println!("kernel_guard passed: d=8 kernel {guard_ratio:.2}x >= {GUARD_MIN_RATIO}x scalar");
-        "passed"
     } else if single_cpu {
         println!(
             "kernel_guard SKIPPED: d=8 ratio {guard_ratio:.2}x < {GUARD_MIN_RATIO}x on a \
              single-CPU runner — timings on shared single cores are too noisy to gate on"
         );
-        "skipped_single_cpu"
     } else {
         eprintln!(
             "kernel_guard FAILED: d=8 kernel only {guard_ratio:.2}x scalar \
              (need {GUARD_MIN_RATIO}x)"
         );
         return ExitCode::FAILURE;
-    };
-
-    let report = Json::Obj(vec![
-        ("bench".into(), Json::Str("pr9_distance_kernels".into())),
-        ("rows".into(), Json::Int(rows as i64)),
-        ("passes".into(), Json::Int(passes as i64)),
-        ("dims".into(), Json::Arr(dims_json)),
-        ("classify".into(), classify_json),
-        ("pipeline".into(), pipeline_json),
-        (
-            "guard".into(),
-            Json::Obj(vec![
-                ("dim".into(), Json::Int(8)),
-                ("min_ratio".into(), Json::Num(GUARD_MIN_RATIO)),
-                ("ratio".into(), Json::Num(guard_ratio)),
-                ("status".into(), Json::Str(guard_status.into())),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, report.render_pretty()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
     ExitCode::SUCCESS
 }

@@ -20,7 +20,6 @@
 
 pub mod ascii;
 pub mod config;
-pub mod diff;
 pub mod experiments;
 pub mod harness;
 pub mod report;

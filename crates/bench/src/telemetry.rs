@@ -1,6 +1,5 @@
-//! Shared `--trace-out` / `--serve` support for the benchmark binaries.
-//!
-//! Both `figures` and `paper_pipelines` accept
+//! `--trace-out` / `--serve` support for the `figures` binary, which
+//! accepts
 //!
 //! ```text
 //! --trace-out <path>      write the run's trace as Chrome trace JSON
@@ -21,8 +20,8 @@ use std::time::Duration;
 use db_obsd::{ObsdError, TelemetryServer};
 
 /// Everything the telemetry plumbing can fail on — flag parsing, binding
-/// the serve address, writing the trace file. Typed so the benchmark
-/// binaries exit nonzero with a clear message instead of panicking.
+/// the serve address, writing the trace file. Typed so `figures` exits
+/// nonzero with a clear message instead of panicking.
 #[derive(Debug)]
 pub enum TelemetryError {
     /// A flag that requires a value appeared last on the command line.

@@ -492,7 +492,7 @@ pub fn birch(ds: &Dataset, k: usize, params: &BirchParams) -> Vec<Cf> {
 const INSERT_TICK: u32 = 64;
 
 /// [`birch`] under supervision: phase-1 insertion consults `sup` every
-/// [`INSERT_TICK`] points and phase-2 condensation before every rebuild
+/// `INSERT_TICK` points and phase-2 condensation before every rebuild
 /// round. On `Err` the whole tree is dropped — no partial CF set escapes;
 /// on `Ok` the result is bit-for-bit the unsupervised one.
 ///

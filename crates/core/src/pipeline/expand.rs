@@ -110,7 +110,7 @@ pub fn expand_weighted(ordering: &ClusterOrdering, members: &[Vec<usize>]) -> Ex
 }
 
 /// [`expand_weighted`] under supervision: consults `sup` every
-/// [`EXPAND_TICK`] representatives. On `Err` the partial expansion is
+/// `EXPAND_TICK` representatives. On `Err` the partial expansion is
 /// discarded; on `Ok` the result is bit-for-bit the unsupervised one.
 ///
 /// # Errors
@@ -169,7 +169,7 @@ pub fn expand_bubbles(
 }
 
 /// [`expand_bubbles`] under supervision: consults `sup` every
-/// [`EXPAND_TICK`] bubbles. On `Err` the partial expansion is discarded;
+/// `EXPAND_TICK` bubbles. On `Err` the partial expansion is discarded;
 /// on `Ok` the result is bit-for-bit the unsupervised one.
 ///
 /// # Errors

@@ -6,9 +6,15 @@
 //!
 //! Prints the per-op cost of a counter, a histogram and a span, then runs
 //! a realistic chunked workload (simulating a pipeline phase that does
-//! ~20k arithmetic ops per instrumented chunk) and asserts the
-//! instrumented/bare ratio stays under 1.05 whenever per-event recording
-//! is not active, i.e. with tracing runtime-disabled (`DB_TRACE` unset).
+//! ~20k arithmetic ops per instrumented chunk) bare, instrumented and
+//! under idle supervision. It asserts supervised/bare stays under 1.05,
+//! and instrumented/bare too whenever per-event recording is not active,
+//! i.e. with tracing runtime-disabled (`DB_TRACE` unset).
+//!
+//! The three loops run interleaved, one pass of each per round, and each
+//! guard gates on the median of its per-round ratios: every ratio divides
+//! two passes timed back to back, so machine drift over the run (clock
+//! scaling, a noisy neighbour) cancels instead of reading as overhead.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,8 +31,7 @@ fn measure(f: impl Fn(u64)) -> f64 {
         }
         runs.push(start.elapsed().as_secs_f64() * 1e9 / ITERS as f64);
     }
-    runs.sort_by(f64::total_cmp);
-    runs[2]
+    median(runs)
 }
 
 fn main() {
@@ -67,28 +72,49 @@ fn chunk(seed: u64) -> u64 {
     acc
 }
 
-/// Median-of-7 seconds for `chunks` chunk evaluations.
-fn measure_workload(chunks: u64, f: impl Fn(u64) -> u64) -> f64 {
-    let mut runs = Vec::new();
-    for rep in 0..7 {
-        let start = Instant::now();
-        let mut acc = rep;
-        for c in 0..chunks {
-            acc = f(black_box(acc ^ c));
-        }
-        black_box(acc);
-        runs.push(start.elapsed().as_secs_f64());
+const CHUNKS: u64 = 2_000;
+const ROUNDS: usize = 15;
+
+/// Seconds for one pass of `CHUNKS` evaluations of `f`.
+fn time_pass(seed: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
+    let start = Instant::now();
+    let mut acc = seed;
+    for c in 0..CHUNKS {
+        acc = f(black_box(acc ^ c));
     }
-    runs.sort_by(f64::total_cmp);
-    runs[3]
+    black_box(acc);
+    start.elapsed().as_secs_f64()
 }
 
-/// Asserts the instrumented workload is within 5% of the bare one when no
-/// per-event recording is active. Recording stays runtime-disabled here
-/// (the bench never sets `DB_TRACE` or calls `set_enabled(true)`), so the
-/// only cost on top of plain metrics is one predictable branch per span.
+/// The chunk wrapped in the instrumentation a pipeline worker carries:
+/// a span, a counter and a (runtime-disabled) trace instant.
+fn instrumented(seed: u64) -> u64 {
+    let _span = db_obs::span!("bench.workload_chunk");
+    db_obs::counter!("bench.workload_items").add(1);
+    db_obs::trace_instant!("bench.workload_mark", "chunk", seed & 0xff);
+    chunk(seed)
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Runs the bare, instrumented and supervised loops interleaved and
+/// asserts each instrumented variant is within 5% of the bare one.
+///
+/// Instrumented: recording stays runtime-disabled here (the bench never
+/// sets `DB_TRACE` or calls `set_enabled(true)`), so the only cost on top
+/// of plain metrics is one predictable branch per span.
+///
+/// Supervised: the span and counter under an armed-but-idle supervisor
+/// (no deadline, token never cancelled — the default for every pipeline
+/// run without a budget). The per-chunk cost is one `Ticker::tick` — a
+/// decrement and, every 64 chunks, a relaxed atomic load plus an
+/// `Instant::now` — which is the densest check cadence the pipelines use
+/// relative to their chunk sizes.
 fn workload_guard() {
-    const CHUNKS: u64 = 2_000;
+    use db_supervise::{Supervisor, Ticker};
 
     // Warm the callsite caches outside the timed region.
     {
@@ -96,68 +122,58 @@ fn workload_guard() {
         db_obs::counter!("bench.workload_items").add(0);
         db_obs::trace_instant!("bench.workload_mark", "chunk", 0u64);
     }
-
-    let bare = measure_workload(CHUNKS, chunk);
-    let instrumented = measure_workload(CHUNKS, |seed| {
-        let _span = db_obs::span!("bench.workload_chunk");
-        db_obs::counter!("bench.workload_items").add(1);
-        db_obs::trace_instant!("bench.workload_mark", "chunk", seed & 0xff);
-        chunk(seed)
-    });
-    let ratio = instrumented / bare;
-
-    println!("workload (tracing runtime-disabled), median of 7 x {CHUNKS} chunks:");
-    println!("  bare               {:8.4} s", bare);
-    println!("  instrumented       {:8.4} s (ratio {ratio:.4})", instrumented);
-
-    if !db_obs::trace::enabled() {
-        assert!(
-            ratio <= 1.05,
-            "instrumented/bare ratio {ratio:.4} exceeds 1.05 with recording inactive"
-        );
-        println!("guard passed: instrumentation overhead {:.2}% <= 5%", (ratio - 1.0) * 100.0);
-    }
-
-    supervision_guard(bare);
-}
-
-/// Asserts that running the instrumented workload under an armed-but-idle
-/// supervisor (no deadline, token never cancelled — the default for every
-/// pipeline run without a budget) stays within the same 5% envelope. The
-/// per-chunk cost is one `Ticker::tick` — a decrement and, every 64
-/// chunks, a relaxed atomic load plus an `Instant::now` — which is the
-/// densest check cadence the pipelines use relative to their chunk sizes.
-fn supervision_guard(bare: f64) {
-    use db_supervise::{Supervisor, Ticker};
-
-    const CHUNKS: u64 = 2_000;
-
     let sup = Supervisor::unlimited();
     let mut ticker = Ticker::new(&sup, 64);
     // Warm: first tick consults the supervisor immediately.
     assert!(ticker.tick().is_ok());
-
-    let mut runs = Vec::new();
-    for rep in 0..7u64 {
-        let start = Instant::now();
-        let mut acc = rep;
-        for c in 0..CHUNKS {
-            if ticker.tick().is_err() {
-                unreachable!("unlimited supervisor never stops");
-            }
-            let _span = db_obs::span!("bench.workload_chunk");
-            db_obs::counter!("bench.workload_items").add(1);
-            acc = chunk(black_box(acc ^ c));
+    let mut supervised = |seed: u64| {
+        if ticker.tick().is_err() {
+            unreachable!("unlimited supervisor never stops");
         }
-        black_box(acc);
-        runs.push(start.elapsed().as_secs_f64());
-    }
-    runs.sort_by(f64::total_cmp);
-    let supervised = runs[3];
-    let ratio = supervised / bare;
+        let _span = db_obs::span!("bench.workload_chunk");
+        db_obs::counter!("bench.workload_items").add(1);
+        chunk(seed)
+    };
 
-    println!("workload under idle supervision, median of 7 x {CHUNKS} chunks:");
-    println!("  supervised         {supervised:8.4} s (ratio {ratio:.4} vs bare)");
-    assert!(ratio <= 1.05, "supervised/bare ratio {ratio:.4} exceeds 1.05 with no budget set");
-    println!("guard passed: idle supervision overhead {:.2}% <= 5%", (ratio - 1.0) * 100.0);
+    let (mut bare_s, mut instr_ratios, mut sup_ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..ROUNDS {
+        // Rotate the order so no variant always runs first in a round.
+        let mut t = [0.0f64; 3];
+        for slot in 0..3 {
+            let which = (round + slot) % 3;
+            let seed = round as u64;
+            t[which] = match which {
+                0 => time_pass(seed, chunk),
+                1 => time_pass(seed, instrumented),
+                _ => time_pass(seed, &mut supervised),
+            };
+        }
+        let [bare, instr, sup] = t;
+        bare_s.push(bare);
+        instr_ratios.push(instr / bare);
+        sup_ratios.push(sup / bare);
+    }
+    let instr_ratio = median(instr_ratios);
+    let sup_ratio = median(sup_ratios);
+
+    println!("workload, median of {ROUNDS} interleaved rounds x {CHUNKS} chunks:");
+    println!("  bare               {:8.4} s", median(bare_s));
+    println!("  instrumented/bare  {instr_ratio:8.4} (tracing runtime-disabled)");
+    println!("  supervised/bare    {sup_ratio:8.4} (idle supervision)");
+
+    if !db_obs::trace::enabled() {
+        assert!(
+            instr_ratio <= 1.05,
+            "instrumented/bare ratio {instr_ratio:.4} exceeds 1.05 with recording inactive"
+        );
+        println!(
+            "guard passed: instrumentation overhead {:.2}% <= 5%",
+            (instr_ratio - 1.0) * 100.0
+        );
+    }
+    assert!(
+        sup_ratio <= 1.05,
+        "supervised/bare ratio {sup_ratio:.4} exceeds 1.05 with no budget set"
+    );
+    println!("guard passed: idle supervision overhead {:.2}% <= 5%", (sup_ratio - 1.0) * 100.0);
 }

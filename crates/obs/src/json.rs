@@ -1,7 +1,7 @@
 //! A minimal JSON document model, serializer, and parser.
 //!
 //! The bench harness writes result tables as JSON; the metrics exporter
-//! writes JSON lines; `bench-diff` reads benchmark reports back and the
+//! writes JSON lines; `db-serve` parses `/ingest` request bodies and the
 //! trace tests round-trip exporter output. None of that needs schemas or
 //! zero-copy — just a value tree, a correct serializer, and a small
 //! recursive-descent parser — so this stays dependency-free.

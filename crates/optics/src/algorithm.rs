@@ -35,7 +35,7 @@ pub fn optics<S: OpticsSpace>(space: &S, params: &OpticsParams) -> ClusterOrderi
 }
 
 /// [`optics`] under supervision: the walk consults `sup` every
-/// [`WALK_TICK`] processed objects. On `Err` the partial ordering is
+/// `WALK_TICK` processed objects. On `Err` the partial ordering is
 /// discarded; on `Ok` the result is bit-for-bit the unsupervised one.
 ///
 /// # Errors

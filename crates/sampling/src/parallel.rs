@@ -165,7 +165,7 @@ pub fn nn_classify_parallel(
 }
 
 /// [`nn_classify_parallel`] under supervision: consults `sup` every
-/// [`CLASSIFY_TICK`] points and captures worker panics. On `Err` all
+/// `CLASSIFY_TICK` points and captures worker panics. On `Err` all
 /// partial output is discarded; on `Ok` the result is bit-for-bit the
 /// unsupervised one.
 ///
@@ -263,7 +263,7 @@ pub fn accumulate_stats_parallel(
 }
 
 /// [`accumulate_stats_parallel`] under supervision: consults `sup` every
-/// [`STATS_TICK`] points and captures worker panics; per-block partials
+/// `STATS_TICK` points and captures worker panics; per-block partials
 /// are discarded wholesale on `Err`, so no partially-merged statistics
 /// escape. On `Ok` the result is bit-for-bit the unsupervised one.
 ///

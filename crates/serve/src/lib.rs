@@ -9,16 +9,18 @@
 //!
 //! * it owns a live [`db_sampling::IncrementalCompression`];
 //! * batched inserts go through the *fallible* absorb boundary
-//!   ([`IncrementalCompression::try_absorb_all`]) — a NaN point is a typed
-//!   rejection, never a corrupted representative;
+//!   ([`try_absorb_all`](db_sampling::IncrementalCompression::try_absorb_all)) —
+//!   a NaN point is a typed rejection, never a corrupted representative;
 //! * queries are answered from a cached [`Artifact`] (cluster ordering +
 //!   bubble dendrogram labels) via one NN lookup, never blocking on a
 //!   recluster;
 //! * the artifact is recomputed lazily on a background thread when
 //!   staleness triggers fire (absorbed-object count, fraction of mass
-//!   absorbed since the last build), under a [`RunBudget`] +
-//!   [`CancelToken`] from `db-supervise`; a forced recluster cancels the
-//!   in-flight one (typed [`PipelineError::Cancelled`], not a panic).
+//!   absorbed since the last build), under a [`db_supervise::RunBudget`]
+//!   and a [`db_supervise::CancelToken`]; a forced recluster cancels the
+//!   in-flight one (typed
+//!   [`PipelineError::Cancelled`](data_bubbles::pipeline::PipelineError::Cancelled),
+//!   not a panic).
 //!
 //! [`routes::service_response`] exposes the whole thing over the hardened
 //! `db-obsd` HTTP layer (`POST /ingest`, `GET /label`, `GET /ordering`,

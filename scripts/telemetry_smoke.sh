@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Telemetry smoke test: run a real figure with event tracing and the live
 # db-obsd endpoint, scrape /healthz, /metrics and /trace (including four
-# concurrent scrapers), validate the trace artifact, then check bench-diff
-# both ways: it must pass against the checked-in report with a generous
-# tolerance, and it must FAIL against a synthetically slowed copy.
+# concurrent scrapers), then validate the live and the exported trace.
 #
 # Usage: scripts/telemetry_smoke.sh [OUT_DIR]
 # The trace JSON artifacts land in OUT_DIR (default: telemetry-artifacts/).
@@ -85,34 +83,5 @@ for expected in ("pipeline.run", "pipeline.compression", "pipeline.start"):
     assert expected in names, f"{expected} missing from the exported trace"
 print(f"exported trace OK: {len(events)} events, {len(names)} distinct names")
 EOF
-
-echo "== bench-diff: fresh quick run vs checked-in report (generous tolerance) =="
-DB_TRACE=1 cargo run --release -p db-bench --bin paper_pipelines -- \
-    --scale quick --out "$OUT_DIR/bench_new.json" \
-    --trace-out "$OUT_DIR/bench.trace.json" > "$OUT_DIR/bench.log" 2>&1
-# The checked-in report was measured at the default scale on other
-# hardware; the quick run is strictly smaller, so with a wide tolerance
-# this must pass (improvements never fail the diff).
-cargo run --release -p db-bench --bin bench-diff -- \
-    BENCH_pr3.json "$OUT_DIR/bench_new.json" --tolerance 10 --floor-s 0.05
-
-echo "== bench-diff: synthetic 2x slowdown must FAIL =="
-python3 - BENCH_pr3.json "$OUT_DIR/bench_slow.json" <<'EOF'
-import json, sys
-def slow(node):
-    if isinstance(node, dict):
-        return {k: (v * 2 if k.endswith("_s") and isinstance(v, (int, float)) else slow(v))
-                for k, v in node.items()}
-    if isinstance(node, list):
-        return [slow(v) for v in node]
-    return node
-json.dump(slow(json.load(open(sys.argv[1]))), open(sys.argv[2], "w"), indent=2)
-EOF
-if cargo run --release -p db-bench --bin bench-diff -- \
-    BENCH_pr3.json "$OUT_DIR/bench_slow.json"; then
-    echo "bench-diff failed to flag a 2x slowdown" >&2
-    exit 1
-fi
-echo "bench-diff correctly rejected the slowdown"
 
 echo "== telemetry smoke: all checks passed =="
